@@ -21,6 +21,11 @@ class Coupling(enum.Enum):
     V0 = "V0"      # transverse kick field perturbed on qubit 0 only
     VGUE = "VGUE"  # dense random Hermitian added to the Ising half
 
+    @property
+    def translation_invariant(self) -> bool:
+        """U+ and U- commute with cyclic translation, so each momentum sector is invariant."""
+        return self in (Coupling.VJ, Coupling.VB)
+
 
 @dataclass(frozen=True)
 class ChainParams:
@@ -34,6 +39,8 @@ class ChainParams:
     def __post_init__(self) -> None:
         if self.n_qubits < 2:
             raise ValueError("n_qubits must be >= 2 (periodic chain)")
+        if not all(map(math.isfinite, (self.b_perp, self.b_par, self.epsilon))):
+            raise ValueError("b_perp, b_par and epsilon must be finite")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
         if self.coupling is Coupling.VGUE and self.gue_seed is None:

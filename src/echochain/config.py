@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
+from typing import get_type_hints
 
 from .chain import ChainParams, Coupling
 from .coherent import SphereGrid
@@ -75,9 +76,8 @@ class RunConfig:
     def resolved_ipr_basis(self) -> IprBasisChoice:
         if self.ipr_basis is not IprBasisChoice.AUTO:
             return self.ipr_basis
-        if self.coupling in (Coupling.VJ, Coupling.VB):
-            return IprBasisChoice.SECTOR_K0
-        return IprBasisChoice.FULL
+        sector = self.coupling.translation_invariant
+        return IprBasisChoice.SECTOR_K0 if sector else IprBasisChoice.FULL
 
 
 def _parse_bool(text: str) -> bool:
@@ -87,40 +87,32 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true or false, got {text!r}")
 
 
-def _parse_enum(cls):
-    def parse(text: str):
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _parser(kind):
+    if kind is bool:
+        return _parse_bool
+    if kind is float:
+        return _parse_float
+    if not issubclass(kind, enum.Enum):
+        return kind
+
+    def parse_enum(text: str):
         try:
-            return cls(text.upper())
+            return kind(text.upper())
         except ValueError:
-            names = ", ".join(member.value for member in cls)
+            names = ", ".join(member.value for member in kind)
             raise ValueError(f"expected one of {names}, got {text!r}") from None
-    return parse
+    return parse_enum
 
 
-_PARSERS = {
-    "n_qubits": int,
-    "b_perp": float,
-    "b_par": float,
-    "epsilon": float,
-    "coupling": _parse_enum(Coupling),
-    "t_cut": int,
-    "theta_min": float,
-    "theta_max": float,
-    "theta_step": float,
-    "phi_min": float,
-    "phi_max": float,
-    "phi_step": float,
-    "seed": int,
-    "gue_samples": int,
-    "normalize_by_tcut": _parse_bool,
-    "ipr_basis": _parse_enum(IprBasisChoice),
-    "output_path": str,
-    "tail_window_fraction": float,
-}
-
-_REQUIRED = ("n_qubits", "b_perp", "b_par", "epsilon", "coupling")
-
-assert set(_PARSERS) == {f.name for f in fields(RunConfig)}
+_PARSERS = {name: _parser(kind) for name, kind in get_type_hints(RunConfig).items()}
+_REQUIRED = tuple(f.name for f in fields(RunConfig) if f.default is MISSING)
 
 
 def parse_config_text(text: str) -> RunConfig:

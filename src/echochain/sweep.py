@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .chain import assemble_dense, build_floquet_pair
+from .chain import FloquetPair, assemble_dense, build_floquet_pair
 from .coherent import CoherentSpec, build_coherent_state, enumerate_grid
 from .config import IprBasisChoice, RunConfig
-from .dynamics import FidelitySeries, asymptotic_fidelity, fidelity_series
+from .dynamics import (
+    FidelitySeries,
+    asymptotic_fidelity,
+    echo_overlaps,
+    fidelity_series,
+    state_fingerprint,
+)
 from .linalg import RngStream, unitary_eig
 from .measures import compute_report
 from .symmetry import (
@@ -28,7 +32,10 @@ from .symmetry import (
 
 FULL_BASIS_QUBIT_CAP = 12
 OPS_WARN_THRESHOLD = 1e12
-WORKERS_ENV_VAR = "ECHOCHAIN_WORKERS"
+# Memory budget of one batch of grid points; each point holds its f(t) column and
+# a few state-sized columns (initial state, both trajectories, step temporaries).
+BATCH_BYTES = 64 << 20
+PROJECTION_DEFICIT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -54,10 +61,11 @@ CSV_FIELDS = tuple(f.name for f in fields(SweepRow))
 @dataclass(frozen=True, eq=False)
 class _SweepContext:
     config: RunConfig
-    pairs: tuple
+    pairs: tuple[FloquetPair, ...]
     eigs: tuple
-    projector: np.ndarray | None  # momentum-basis columns, None on the full path
+    projector: np.ndarray | None  # k=0 momentum-basis columns, None when unused
     basis_kind: BasisKind
+    blocks: tuple | None  # per pair, the k=0 blocks (B+, B-); None on the gate path
 
 
 def estimated_amplitude_ops(config: RunConfig) -> float:
@@ -72,82 +80,68 @@ def _prepare_context(config: RunConfig) -> _SweepContext:
     pairs = tuple(
         build_floquet_pair(params, RngStream(config.seed, m)) for m in range(config.gue_samples)
     )
-    choice = config.resolved_ipr_basis
-    if choice is IprBasisChoice.SECTOR_K0:
+    # Spin-coherent states lie in k=0, so translation-invariant pairs evolve there.
+    in_sector = config.coupling.translation_invariant
+    sector_ipr = config.resolved_ipr_basis is IprBasisChoice.SECTOR_K0
+    projector = blocks = None
+    if in_sector or sector_ipr:
         basis = build_sector(config.n_qubits, 0)
         projector = sector_basis_matrix(basis)
-        eigs = tuple(unitary_eig(sector_matrix(pair.plus, basis)) for pair in pairs)
+        plus_blocks = [sector_matrix(pair.plus, basis) for pair in pairs]
+    if in_sector:
+        blocks = tuple(zip(plus_blocks, (sector_matrix(pair.minus, basis) for pair in pairs)))
+    if sector_ipr:
+        eigs = tuple(unitary_eig(block) for block in plus_blocks)
         kind = BasisKind.SECTOR_K0
     else:
         if config.n_qubits > FULL_BASIS_QUBIT_CAP:
-            raise ValueError(
-                f"FULL eigenbasis refused above {FULL_BASIS_QUBIT_CAP} qubits"
-            )
-        projector = None
+            raise ValueError(f"FULL eigenbasis refused above {FULL_BASIS_QUBIT_CAP} qubits")
         eigs = tuple(unitary_eig(assemble_dense(pair.plus)) for pair in pairs)
         kind = BasisKind.FULL
-    return _SweepContext(config, pairs, eigs, projector, kind)
+    return _SweepContext(config, pairs, eigs, projector, kind, blocks)
 
 
-def _row_for_point(ctx: _SweepContext, spec: CoherentSpec) -> SweepRow:
+def _rows_for_batch(ctx: _SweepContext, specs: list[CoherentSpec]) -> list[SweepRow]:
     config = ctx.config
-    psi = build_coherent_state(spec, config.n_qubits)
-    ipr_state = psi if ctx.projector is None else ctx.projector.conj().T @ psi
-    per_sample: list[tuple[float, ...]] = []
-    for pair, eig in zip(ctx.pairs, ctx.eigs):
-        series = fidelity_series(pair, psi, config.t_cut)
-        report = compute_report(series, normalize=config.normalize_by_tcut)
-        tail = asymptotic_fidelity(series, config.tail_window_fraction)
-        ipr_value = ipr(ipr_state, eig, ctx.basis_kind).value
-        per_sample.append(
-            (
-                ipr_value,
-                report.blp,
-                report.rhp,
-                report.nd_max,
-                report.nd_avg,
-                report.ng_max,
-                report.ng_avg,
-                tail.mean_F2,
-                tail.mean_F,
-                float(report.clamp_events),
+    psis = np.stack([build_coherent_state(spec, config.n_qubits) for spec in specs], axis=1)
+    k0 = None
+    if ctx.projector is not None:
+        k0 = ctx.projector.conj().T @ psis
+        deficit = float(np.max(np.abs(1.0 - np.sum(np.abs(k0) ** 2, axis=0))))
+        if deficit > PROJECTION_DEFICIT_TOL:
+            raise ValueError(f"states leak out of the k=0 sector (deficit {deficit:.2e})")
+    ipr_states = k0 if ctx.basis_kind is BasisKind.SECTOR_K0 else psis
+    per_sample = np.empty((len(ctx.pairs), len(specs), 10))
+    for sample, (pair, eig) in enumerate(zip(ctx.pairs, ctx.eigs)):
+        blocks = None if ctx.blocks is None else ctx.blocks[sample]
+        f_batch = echo_overlaps(pair, psis if blocks is None else k0, config.t_cut, blocks)
+        for j, f in enumerate(np.ascontiguousarray(f_batch.T)):
+            fingerprint = state_fingerprint(config.chain_params, psis[:, j])
+            series = FidelitySeries(f, config.t_cut, fingerprint)
+            report = compute_report(series, normalize=config.normalize_by_tcut)
+            tail = asymptotic_fidelity(series, config.tail_window_fraction)
+            per_sample[sample, j] = (
+                ipr(ipr_states[:, j], eig, ctx.basis_kind).value,
+                report.blp, report.rhp, report.nd_max, report.nd_avg, report.ng_max, report.ng_avg,
+                tail.mean_F2, tail.mean_F, report.clamp_events,
             )
-        )
-    means = np.mean(np.asarray(per_sample), axis=0)
-    row = SweepRow(spec.theta, spec.phi, spec.hemisphere, *(float(x) for x in means))
-    if not config.normalize_by_tcut and row.rhp != row.ng_max:
-        raise RuntimeError("row identity rhp == ng_max violated")
-    if row.nd_avg > row.nd_max + 1e-12:
-        raise RuntimeError("row invariant nd_avg <= nd_max violated")
-    return row
-
-
-_WORKER_CTX: _SweepContext | None = None
-
-
-def _init_worker(ctx: _SweepContext) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
-
-
-def _worker_task(item: tuple[int, CoherentSpec]) -> tuple[int, SweepRow]:
-    index, spec = item
-    assert _WORKER_CTX is not None
-    return index, _row_for_point(_WORKER_CTX, spec)
-
-
-def worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-    if raw:
-        n = int(raw)
-        if n < 1:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1")
-        return n
-    return os.cpu_count() or 1
+    rows = []
+    for spec, means in zip(specs, np.mean(per_sample, axis=0)):
+        row = SweepRow(spec.theta, spec.phi, spec.hemisphere, *(float(x) for x in means))
+        if not config.normalize_by_tcut and row.rhp != row.ng_max:
+            raise RuntimeError("row identity rhp == ng_max violated")
+        if row.nd_avg > row.nd_max + 1e-12:
+            raise RuntimeError("row invariant nd_avg <= nd_max violated")
+        rows.append(row)
+    return rows
 
 
 def run_sweep(config: RunConfig) -> list[SweepRow]:
-    """One row per grid point, in grid order regardless of execution order."""
+    """One row per grid point, in grid order.
+
+    The points evolve together as the columns of one array, in batches of at
+    most ``BATCH_BYTES``.
+    """
     estimate = estimated_amplitude_ops(config)
     if estimate > OPS_WARN_THRESHOLD:
         warnings.warn(
@@ -156,29 +150,26 @@ def run_sweep(config: RunConfig) -> list[SweepRow]:
         )
     ctx = _prepare_context(config)
     points = enumerate_grid(config.grid)
-    workers = worker_count()
-    if workers <= 1 or len(points) <= 1:
-        return [_row_for_point(ctx, spec) for spec in points]
-    rows: list[SweepRow | None] = [None] * len(points)
-    chunksize = max(1, len(points) // (workers * 4))
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(ctx,)
-    ) as pool:
-        for index, row in pool.map(_worker_task, enumerate(points), chunksize=chunksize):
-            rows[index] = row
-    return rows  # type: ignore[return-value]
+    width = max(1, BATCH_BYTES // (16 * (config.t_cut + 1 + 4 * (1 << config.n_qubits))))
+    rows: list[SweepRow] = []
+    for start in range(0, len(points), width):
+        rows.extend(_rows_for_batch(ctx, points[start : start + width]))
+    return rows
 
 
-def _format_cell(value) -> str:
-    return value if isinstance(value, str) else "%.10g" % value
+def _write_lines(lines: list[str], path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _csv_lines(header: tuple[str, ...], rows: list) -> list[str]:
+    cells = ((v if isinstance(v, str) else "%.10g" % v for v in astuple(row)) for row in rows)
+    return [",".join(header)] + [",".join(row) for row in cells]
 
 
 def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
     """Deterministic CSV: exact field-name header, 10 significant digits, LF."""
-    lines = [",".join(CSV_FIELDS)]
-    lines.extend(",".join(_format_cell(v) for v in astuple(row)) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(_csv_lines(CSV_FIELDS, rows), path)
 
 
 def run_spectral(config: RunConfig) -> SpectralReport:
@@ -189,9 +180,7 @@ def run_spectral(config: RunConfig) -> SpectralReport:
 
 def write_spacing_histogram(report: SpectralReport, path: str) -> None:
     centers, density = spacing_histogram(report.spacings)
-    lines = [f"{c:.10g} {d:.10g}" for c, d in zip(centers, density)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines([f"{c:.10g} {d:.10g}" for c, d in zip(centers, density)], path)
 
 
 @dataclass(frozen=True)
@@ -233,7 +222,4 @@ def run_saturation(
 
 
 def write_saturation_csv(rows: list[SaturationRow], path: str) -> None:
-    lines = [",".join(SATURATION_FIELDS)]
-    lines.extend(",".join(_format_cell(v) for v in astuple(row)) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(_csv_lines(SATURATION_FIELDS, rows), path)

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.stats
 
 from .chain import FloquetOperator, apply_floquet
 from .linalg import EigenSystem, unitary_eig
@@ -173,6 +172,14 @@ def brody_cdf(s: np.ndarray, q: float) -> np.ndarray:
     return 1.0 - np.exp(-brody_alpha(q) * s ** (q + 1.0))
 
 
+def ks_statistic(sample: np.ndarray, cdf) -> float:
+    """Exact one-sample Kolmogorov-Smirnov distance sup |F_n - F| of a sample to a CDF."""
+    x = np.sort(np.asarray(sample, dtype=float))
+    cdf_values = cdf(x)
+    ecdf = np.arange(x.size + 1) / x.size  # empirical CDF below / at each sorted point
+    return float(max(np.max(ecdf[1:] - cdf_values), np.max(cdf_values - ecdf[:-1])))
+
+
 def brody_fit(spacings: np.ndarray) -> tuple[float, float]:
     """Maximum-likelihood Brody parameter over q in [0, 1.2], tolerance 1e-4."""
     s = np.asarray(spacings, dtype=float)
@@ -242,10 +249,9 @@ def spacing_statistics(op: FloquetOperator, n_qubits: int) -> SpectralReport:
         used.append(k)
     spacings = np.concatenate(pooled)
     q, loglik = brody_fit(spacings)
-    ks_p = scipy.stats.kstest(spacings, lambda x: brody_cdf(x, 0.0)).statistic
-    ks_w = scipy.stats.kstest(spacings, lambda x: brody_cdf(x, 1.0)).statistic
-    ks_b = scipy.stats.kstest(spacings, lambda x: brody_cdf(x, q)).statistic
-    return SpectralReport(spacings, tuple(used), q, loglik, float(ks_p), float(ks_w), float(ks_b))
+    # Kolmogorov-Smirnov distances to Poisson (q = 0), Wigner (q = 1) and the fit.
+    ks = [ks_statistic(spacings, lambda x, p=p: brody_cdf(x, p)) for p in (0.0, 1.0, q)]
+    return SpectralReport(spacings, tuple(used), q, loglik, *ks)
 
 
 def spacing_histogram(

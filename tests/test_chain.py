@@ -32,6 +32,15 @@ def test_params_validation():
         ChainParams(4, 0.1, 1.4, 0.1, Coupling.VGUE)  # needs a seed
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("slot", [1, 2, 3])
+def test_params_reject_non_finite_fields(bad, slot):
+    values = [4, 0.1, 1.4, 0.1]
+    values[slot] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ChainParams(*values, Coupling.VJ)
+
+
 @pytest.mark.parametrize("coupling", ALL_COUPLINGS)
 def test_zero_epsilon_collapses_pair(coupling):
     pair = _pair(coupling, epsilon=0.0)

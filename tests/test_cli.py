@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 
@@ -18,11 +17,6 @@ theta_max = 1.0
 phi_min = 2.0
 phi_max = 2.0
 """
-
-
-@pytest.fixture(autouse=True)
-def serial_workers(monkeypatch):
-    monkeypatch.setenv("ECHOCHAIN_WORKERS", "1")
 
 
 @pytest.fixture
@@ -112,8 +106,34 @@ def test_module_entry_point(small_config, tmp_path):
         [sys.executable, "-m", "echochain", "sweep", str(small_config)],
         capture_output=True,
         text=True,
-        env=os.environ | {"ECHOCHAIN_WORKERS": "1"},
     )
     assert result.returncode == 0
     assert "wrote 1 rows" in result.stdout
     assert (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "series", "saturate"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_field_gives_one_error_line(tmp_path, capsys, command, bad):
+    path = tmp_path / "bad.cfg"
+    path.write_text(SMALL.replace("b_perp = 0.3", f"b_perp = {bad}"), encoding="utf-8")
+    extra = {
+        "sweep": [],
+        "series": ["--theta", "1.0", "--phi", "2.0"],
+        "saturate": ["--theta", "1.0", "--phi", "2.0", "--checkpoints", "10,20"],
+    }[command]
+    out = tmp_path / "out.dat"
+    assert main([command, str(path), "--out", str(out), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: bad value for b_perp")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_runtime_error_gives_one_error_line(small_config, capsys, monkeypatch):
+    def broken(config):
+        raise RuntimeError("row identity rhp == ng_max violated")
+
+    monkeypatch.setattr("echochain.cli.run_sweep", broken)
+    assert main(["sweep", str(small_config)]) == 1
+    assert capsys.readouterr().err == "error: row identity rhp == ng_max violated\n"

@@ -65,6 +65,14 @@ def test_spec_validation():
         CoherentSpec(1.0, 2.0 * np.pi)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_spec_rejects_non_finite_angles(bad):
+    with pytest.raises(ValueError, match="outside"):
+        CoherentSpec(bad, 0.0)
+    with pytest.raises(ValueError, match="outside"):
+        CoherentSpec(1.0, bad)
+
+
 def test_hemisphere_tag():
     assert CoherentSpec(0.3, 0.0).hemisphere == "N"
     assert CoherentSpec(np.pi / 2.0, 0.0).hemisphere == "N"

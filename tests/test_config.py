@@ -62,6 +62,17 @@ def test_bad_value_type_rejected():
         parse_config_text(MINIMAL.replace("n_qubits = 6", "n_qubits = six"))
 
 
+@pytest.mark.parametrize("bad", ["nan", "NaN", "inf", "-inf"])
+def test_non_finite_floats_rejected_with_line(bad):
+    for key, lineno in (("b_perp", 3), ("epsilon", 5)):
+        text = MINIMAL.replace(f"{key} = 0.1", f"{key} = {bad}")
+        with pytest.raises(ConfigError, match=f"line {lineno}: bad value for {key}: .*finite"):
+            parse_config_text(text)
+    for key in ("theta_step", "tail_window_fraction"):
+        with pytest.raises(ConfigError, match=f"line 7: bad value for {key}: .*finite"):
+            parse_config_text(MINIMAL + f"{key} = {bad}\n")
+
+
 def test_bad_enum_value_lists_choices():
     with pytest.raises(ConfigError, match="VJ, V01, VB, V0, VGUE"):
         parse_config_text(MINIMAL.replace("coupling = VJ", "coupling = VX"))

@@ -74,6 +74,8 @@ def test_series_validation():
         FidelitySeries(np.array([0.9, 0.5]), 1, "x")  # must start at 1
     with pytest.raises(ValueError):
         FidelitySeries(np.array([1.0, 1.5]), 1, "x")  # above the unit bound
+    with pytest.raises(ValueError):
+        FidelitySeries(np.array([1.0, np.nan]), 1, "x")  # NaN must fail the bound too
 
 
 def test_series_requires_normalized_state():

@@ -15,7 +15,6 @@ from echochain.sweep import (
     run_saturation,
     run_spectral,
     run_sweep,
-    worker_count,
     write_saturation_csv,
     write_spacing_histogram,
     write_sweep_csv,
@@ -39,11 +38,6 @@ def _config(**overrides):
     )
     base.update(overrides)
     return RunConfig(**base)
-
-
-@pytest.fixture(autouse=True)
-def serial_workers(monkeypatch):
-    monkeypatch.setenv("ECHOCHAIN_WORKERS", "1")
 
 
 def test_csv_field_layout():
@@ -111,12 +105,48 @@ def test_sweep_csv_format(tmp_path):
     assert len(first) == len(CSV_FIELDS)
 
 
-def test_parallel_and_serial_rows_agree(monkeypatch):
-    config = _config(t_cut=60)
-    serial = run_sweep(config)
-    monkeypatch.setenv("ECHOCHAIN_WORKERS", "2")
-    parallel = run_sweep(config)
-    assert serial == parallel
+MEASURE_FIELDS = ("ipr",) + CSV_FIELDS[4:]
+
+
+def _assert_rows_close(a, b):
+    assert (a.theta, a.phi, a.hemisphere) == (b.theta, b.phi, b.hemisphere)
+    for name in MEASURE_FIELDS:
+        assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-12, abs=0.0), name
+
+
+@pytest.mark.parametrize("coupling", list(Coupling))
+def test_every_coupling_matches_direct_pipeline(coupling):
+    config = _config(n_qubits=6, coupling=coupling, b_perp=0.9, seed=4, t_cut=150)
+    rows = run_sweep(config)
+    pair = build_floquet_pair(config.chain_params, RngStream(4, 0))
+    for row in (rows[0], rows[4], rows[8]):
+        psi = build_coherent_state(CoherentSpec(row.theta, row.phi), 6)
+        series = fidelity_series(pair, psi, config.t_cut)
+        report = compute_report(series)
+        tail = asymptotic_fidelity(series)
+        for name in ("blp", "rhp", "nd_max", "nd_avg", "ng_max", "ng_avg"):
+            assert getattr(row, name) == pytest.approx(getattr(report, name), rel=1e-12), name
+        assert row.f_asym == pytest.approx(tail.mean_F2, rel=1e-12)
+        assert row.f_amp_asym == pytest.approx(tail.mean_F, rel=1e-12)
+        assert row.clamp_events == report.clamp_events
+
+
+@pytest.mark.parametrize("coupling", [Coupling.VJ, Coupling.V0])
+def test_rows_do_not_depend_on_batching(coupling, monkeypatch):
+    config = _config(coupling=coupling, t_cut=90)
+    together = run_sweep(config)
+    # A budget below one column's bytes forces one grid point per batch.
+    monkeypatch.setattr(sweep_module, "BATCH_BYTES", 1)
+    one_by_one = run_sweep(config)
+    assert len(together) == len(one_by_one) == 9
+    for a, b in zip(together, one_by_one):
+        _assert_rows_close(a, b)
+    for row in together:
+        single = _config(
+            coupling=coupling, t_cut=90, theta_min=row.theta, theta_max=row.theta,
+            phi_min=row.phi, phi_max=row.phi,
+        )
+        _assert_rows_close(row, run_sweep(single)[0])
 
 
 def test_vgue_rows_average_over_samples():
@@ -145,16 +175,6 @@ def test_large_sweep_warns(monkeypatch):
     monkeypatch.setattr(sweep_module, "OPS_WARN_THRESHOLD", 1.0)
     with pytest.warns(UserWarning, match="amplitude operations"):
         run_sweep(_config(theta_min=1.0, theta_max=1.0, phi_min=1.0, phi_max=1.0, t_cut=5))
-
-
-def test_worker_count_env_override(monkeypatch):
-    monkeypatch.setenv("ECHOCHAIN_WORKERS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("ECHOCHAIN_WORKERS", "0")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.delenv("ECHOCHAIN_WORKERS")
-    assert worker_count() >= 1
 
 
 def test_full_basis_cap_enforced():

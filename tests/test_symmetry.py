@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from echochain.chain import ChainParams, Coupling, FloquetOperator, assemble_dense, build_floquet_pair
 from echochain.coherent import CoherentSpec, build_coherent_state
@@ -15,6 +16,7 @@ from echochain.symmetry import (
     brody_pdf,
     build_sector,
     ipr,
+    ks_statistic,
     rotate_left,
     sector_basis_matrix,
     sector_matrix,
@@ -235,6 +237,24 @@ def test_brody_fit_poisson_and_wigner_limits():
     q_wigner, _ = brody_fit(wigner)
     assert q_poisson < 0.1
     assert q_wigner > 0.9
+
+
+@pytest.mark.parametrize("q_true", [0.0, 0.5, 1.0])
+def test_ks_statistic_matches_scipy_kstest(q_true):
+    sample = brody_sample(q_true, 3000, np.random.default_rng(int(q_true * 10) + 41))
+    q_fit, _ = brody_fit(sample)
+    for q in (0.0, 1.0, q_fit):
+        cdf = lambda x, q=q: brody_cdf(x, q)  # noqa: E731
+        assert ks_statistic(sample, cdf) == scipy.stats.kstest(sample, cdf).statistic
+
+
+def test_spectral_report_ks_distances_match_scipy(chain12_spectra):
+    for report in chain12_spectra.values():
+        s = report.spacings
+        for q, value in ((0.0, report.ks_poisson), (1.0, report.ks_wigner),
+                         (report.brody_q, report.ks_brody)):
+            expected = scipy.stats.kstest(s, lambda x, q=q: brody_cdf(x, q)).statistic
+            assert value == pytest.approx(expected, rel=0.0, abs=1e-15)
 
 
 def test_spacing_statistics_excludes_reflection_sectors(chain12_spectra):

@@ -6,78 +6,13 @@ localization (IPR) in translation sectors, and sweeps spin coherent initial
 states over the Poincare sphere.
 """
 
-from .chain import (
-    ChainParams,
-    Coupling,
-    FloquetOperator,
-    FloquetPair,
-    apply_floquet,
-    assemble_dense,
-    build_floquet_pair,
-)
-from .coherent import (
-    CoherentSpec,
-    SphereGrid,
-    build_coherent_state,
-    coherent_overlap,
-    enumerate_grid,
-)
-from .config import ConfigError, IprBasisChoice, RunConfig, parse_config, parse_config_text
-from .dynamics import (
-    AsymptoticFidelity,
-    ChannelSnapshot,
-    FidelitySeries,
-    asymptotic_fidelity,
-    channel_matrix,
-    choi_eigenvalues,
-    choi_trace_norm,
-    fidelity_series,
-    write_series,
-)
-from .linalg import (
-    EigenSystem,
-    RngStream,
-    gue_raw,
-    hermitian_eig,
-    hermitian_expm,
-    inner_product,
-    sample_gue,
-    unitary_eig,
-)
-from .measures import (
-    IndicatorKind,
-    IndicatorSeries,
-    NmReport,
-    blp,
-    compute_report,
-    indicator_D,
-    indicator_G,
-    n_avg,
-    n_max,
-    rhp,
-)
-from .sweep import (
-    SweepRow,
-    run_saturation,
-    run_spectral,
-    run_sweep,
-    write_sweep_csv,
-)
-from .symmetry import (
-    BasisKind,
-    IprResult,
-    SectorBasis,
-    SpectralReport,
-    SymmetryViolationError,
-    brody_cdf,
-    brody_fit,
-    brody_pdf,
-    build_sector,
-    ipr,
-    sector_basis_matrix,
-    sector_matrix,
-    spacing_statistics,
-    translate,
-)
+from .chain import ChainParams, Coupling, build_floquet_pair
+from .coherent import CoherentSpec, build_coherent_state
+from .config import ConfigError, RunConfig, parse_config
+from .dynamics import FidelitySeries, asymptotic_fidelity, fidelity_series
+from .linalg import RngStream, unitary_eig
+from .measures import NmReport, compute_report
+from .sweep import run_saturation, run_spectral, run_sweep
+from .symmetry import ipr
 
 __version__ = "0.1.0"

@@ -42,15 +42,6 @@ def build_coherent_state(spec: CoherentSpec, n_qubits: int) -> np.ndarray:
     return (c ** (n_qubits - w)) * (s**w) * np.exp(1j * spec.phi * w)
 
 
-def coherent_overlap(a: CoherentSpec, b: CoherentSpec, n_qubits: int) -> complex:
-    """Closed-form <a|b> for N-qubit coherent states."""
-    half_a, half_b = a.theta / 2.0, b.theta / 2.0
-    single = math.cos(half_a) * math.cos(half_b) + (
-        math.sin(half_a) * math.sin(half_b) * np.exp(1j * (b.phi - a.phi))
-    )
-    return complex(single**n_qubits)
-
-
 @dataclass(frozen=True)
 class SphereGrid:
     theta_min: float

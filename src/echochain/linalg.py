@@ -45,15 +45,6 @@ class EigenSystem:
         return int(self.values.shape[0])
 
 
-def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """<a|b> with conjugation on the first argument."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"vector dimension mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
 def _max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 

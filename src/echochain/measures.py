@@ -1,14 +1,16 @@
-"""Non-Markovianity measures computed from a fidelity-amplitude series.
+"""Non-Markovianity measures computed from fidelity-amplitude series.
 
-All four families reduce to positive-increment scans of the discrete series:
-blp sums rises of F, rhp sums rises of log F, and the max/average schemes
-compare an indicator K (distinguishability D = F, or accumulated divisibility
-violation G) against its running minimum or running mean.
+All four families reduce to positive-increment scans of the discrete series
+F(t) = |f(t)|: blp sums rises of F, rhp sums rises of log F, and the
+max/average schemes compare an indicator K (distinguishability D = F, or the
+accumulated divisibility violation G, whose value at t is rhp of the prefix
+up to t) against its running minimum or running mean. Each scan is a running
+sum or running extremum along the time axis, so one pass yields every measure
+on every prefix of every column.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,99 +20,86 @@ from .dynamics import FidelitySeries
 F_FLOOR = 1e-12
 
 
-class IndicatorKind(enum.Enum):
-    D = "D"
-    G = "G"
-
-
 @dataclass(frozen=True, eq=False)
-class IndicatorSeries:
-    kind: IndicatorKind
-    values: np.ndarray
-
-
-def _clamped_log_increments(amplitude: np.ndarray) -> tuple[np.ndarray, int]:
-    # F is floored at 1e-12 before the log; deep dips otherwise produce
-    # arbitrarily large divisibility spikes. Clamped samples are counted.
-    clamps = int(np.count_nonzero(amplitude < F_FLOOR))
-    log_f = np.log(np.maximum(amplitude, F_FLOOR))
-    return np.maximum(np.diff(log_f), 0.0), clamps
-
-
-def indicator_D(series: FidelitySeries) -> IndicatorSeries:
-    """D(t) = F(t) = |f(t)|, the antipodal-equator-pair trace distance."""
-    return IndicatorSeries(IndicatorKind.D, series.amplitude)
-
-
-def indicator_G(series: FidelitySeries) -> IndicatorSeries:
-    """G(0) = 0, G(t+1) = G(t) + max(0, log F(t+1) - log F(t))."""
-    increments, _ = _clamped_log_increments(series.amplitude)
-    return IndicatorSeries(IndicatorKind.G, np.concatenate([[0.0], np.cumsum(increments)]))
-
-
-def blp(series: FidelitySeries) -> float:
-    """Sum of positive increments of F."""
-    return float(np.sum(np.maximum(np.diff(series.amplitude), 0.0)))
-
-
-def rhp(series: FidelitySeries) -> float:
-    """Sum of positive increments of log F; identically the final G value."""
-    return float(indicator_G(series).values[-1])
-
-
-def n_max(ind: IndicatorSeries) -> float:
-    """max over end times of K(t_f) minus the minimum of K up to t_f."""
-    v = ind.values
-    return float(max(0.0, np.max(v - np.minimum.accumulate(v))))
-
-
-def n_avg(ind: IndicatorSeries) -> float:
-    """max over end times of K(t_f) minus the mean of K over earlier times."""
-    v = ind.values
-    if v.size < 2:
-        return 0.0
-    running_mean = np.cumsum(v)[:-1] / np.arange(1, v.size)
-    return float(max(0.0, np.max(v[1:] - running_mean)))
-
-
-@dataclass(frozen=True)
 class NmReport:
-    blp: float
-    rhp: float
-    nd_max: float
-    nd_avg: float
-    ng_max: float
-    ng_avg: float
-    t_cut: int
+    """Six measures and the clamp count: a number for one series and cutoff, else an
+    array with a checkpoint axis (when given) followed by the batch's column axis."""
+
+    blp: float | np.ndarray
+    rhp: float | np.ndarray
+    nd_max: float | np.ndarray
+    nd_avg: float | np.ndarray
+    ng_max: float | np.ndarray
+    ng_avg: float | np.ndarray
+    t_cut: int | np.ndarray
     normalized_by_tcut: bool
-    clamp_events: int
+    clamp_events: int | np.ndarray
 
 
-def compute_report(series: FidelitySeries, normalize: bool = False) -> NmReport:
-    """All six measures for one series; `normalize` divides blp and rhp by t_cut.
+def _rise_sum(k: np.ndarray) -> np.ndarray:
+    # Running sum of positive increments, 0 at t = 0.
+    out = np.zeros_like(k)
+    rises = k[1:] - k[:-1]
+    np.maximum(rises, 0.0, out=rises)
+    np.add.accumulate(rises, axis=0, out=out[1:])
+    return out
 
-    Only those two grow without bound in the run length; the max/average
-    schemes saturate and are reported raw.
+
+def _rise_above_min(k: np.ndarray) -> np.ndarray:
+    # Running max over end times of K(t_f) minus the minimum of K up to t_f.
+    out = np.minimum.accumulate(k, axis=0)
+    np.subtract(k, out, out=out)
+    return np.maximum.accumulate(out, axis=0, out=out)
+
+
+def _rise_above_mean(k: np.ndarray) -> np.ndarray:
+    # Running max over end times of K(t_f) minus the mean of K over earlier
+    # times, floored at zero by the zero in row 0.
+    out = np.zeros_like(k)
+    mean = out[1:]
+    np.add.accumulate(k[:-1], axis=0, out=mean)
+    mean /= np.arange(1, len(k))[:, np.newaxis]
+    np.subtract(k[1:], mean, out=mean)
+    return np.maximum.accumulate(out, axis=0, out=out)
+
+
+def compute_report(
+    series: FidelitySeries, normalize: bool = False, checkpoints=None
+) -> NmReport:
+    """All six measures of every column, on the prefixes ending at ``checkpoints``.
+
+    ``checkpoints`` (default: the full length t_cut) are cutoff times in
+    [1, t_cut]; with them every field gains a leading checkpoint axis.
+    ``normalize`` divides blp and rhp by the cutoff time: only those two grow
+    without bound in the run length; the max/average schemes saturate and are
+    reported raw. F is floored at F_FLOOR inside the logarithm (deep dips
+    would otherwise produce arbitrarily large divisibility spikes); floored
+    samples are counted in ``clamp_events``.
     """
-    d = indicator_D(series)
-    increments, clamps = _clamped_log_increments(series.amplitude)
-    g = IndicatorSeries(IndicatorKind.G, np.concatenate([[0.0], np.cumsum(increments)]))
-    blp_value = blp(series)
-    ng_max_value = n_max(g)
-    rhp_value = float(g.values[-1])
-    if rhp_value != ng_max_value:
+    rows = np.array([series.t_cut] if checkpoints is None else checkpoints, dtype=np.int64)
+    if rows.ndim != 1 or rows.size == 0 or rows.min() < 1 or rows.max() > series.t_cut:
+        raise ValueError("checkpoints must lie in [1, t_cut]")
+    amp = series.amplitude.reshape(len(series.f), -1)
+    clamps = np.add.accumulate(amp < F_FLOOR, axis=0, dtype=np.int64)[rows]
+    blp = _rise_sum(amp)[rows]
+    nd_max = _rise_above_min(amp)[rows]
+    nd_avg = _rise_above_mean(amp)[rows]
+    g = _rise_sum(np.log(np.maximum(amp, F_FLOOR)))
+    rhp = g[rows]
+    ng_max = _rise_above_min(g)[rows]
+    ng_avg = _rise_above_mean(g)[rows]
+    if not np.array_equal(rhp, ng_max):
         raise RuntimeError("internal identity rhp == n_max(G) violated")
     if normalize:
-        blp_value /= series.t_cut
-        rhp_value /= series.t_cut
-    return NmReport(
-        blp=blp_value,
-        rhp=rhp_value,
-        nd_max=n_max(d),
-        nd_avg=n_avg(d),
-        ng_max=ng_max_value,
-        ng_avg=n_avg(g),
-        t_cut=series.t_cut,
-        normalized_by_tcut=normalize,
-        clamp_events=clamps,
-    )
+        blp = blp / rows[:, np.newaxis]
+        rhp = rhp / rows[:, np.newaxis]
+
+    def shaped(values: np.ndarray):
+        values = values.reshape(rows.shape + series.f.shape[1:])
+        if checkpoints is None:
+            values = values[0]
+        return values if values.ndim else values.item()
+
+    measures = (shaped(m) for m in (blp, rhp, nd_max, nd_avg, ng_max, ng_avg))
+    t_cut = series.t_cut if checkpoints is None else rows
+    return NmReport(*measures, t_cut, normalize, shaped(clamps))

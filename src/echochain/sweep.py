@@ -15,12 +15,11 @@ from .dynamics import (
     asymptotic_fidelity,
     echo_overlaps,
     fidelity_series,
-    state_fingerprint,
+    write_lines,
 )
 from .linalg import RngStream, unitary_eig
 from .measures import compute_report
 from .symmetry import (
-    BasisKind,
     SpectralReport,
     build_sector,
     ipr,
@@ -32,8 +31,9 @@ from .symmetry import (
 
 FULL_BASIS_QUBIT_CAP = 12
 OPS_WARN_THRESHOLD = 1e12
-# Memory budget of one batch of grid points; each point holds its f(t) column and
-# a few state-sized columns (initial state, both trajectories, step temporaries).
+# Memory budget of one batch of grid points. Per period, each point holds 16 B of
+# f(t) and 32 B of the measures pass's four float temporaries; per amplitude, a few
+# state-sized columns (initial state, both trajectories, step temporaries).
 BATCH_BYTES = 64 << 20
 PROJECTION_DEFICIT_TOL = 1e-10
 
@@ -64,8 +64,7 @@ class _SweepContext:
     pairs: tuple[FloquetPair, ...]
     eigs: tuple
     projector: np.ndarray | None  # k=0 momentum-basis columns, None when unused
-    basis_kind: BasisKind
-    blocks: tuple | None  # per pair, the k=0 blocks (B+, B-); None on the gate path
+    blocks: tuple  # per pair, the k=0 blocks (B+, B-), or None on the gate path
 
 
 def estimated_amplitude_ops(config: RunConfig) -> float:
@@ -83,7 +82,8 @@ def _prepare_context(config: RunConfig) -> _SweepContext:
     # Spin-coherent states lie in k=0, so translation-invariant pairs evolve there.
     in_sector = config.coupling.translation_invariant
     sector_ipr = config.resolved_ipr_basis is IprBasisChoice.SECTOR_K0
-    projector = blocks = None
+    projector = None
+    blocks = (None,) * len(pairs)
     if in_sector or sector_ipr:
         basis = build_sector(config.n_qubits, 0)
         projector = sector_basis_matrix(basis)
@@ -92,13 +92,11 @@ def _prepare_context(config: RunConfig) -> _SweepContext:
         blocks = tuple(zip(plus_blocks, (sector_matrix(pair.minus, basis) for pair in pairs)))
     if sector_ipr:
         eigs = tuple(unitary_eig(block) for block in plus_blocks)
-        kind = BasisKind.SECTOR_K0
     else:
         if config.n_qubits > FULL_BASIS_QUBIT_CAP:
             raise ValueError(f"FULL eigenbasis refused above {FULL_BASIS_QUBIT_CAP} qubits")
         eigs = tuple(unitary_eig(assemble_dense(pair.plus)) for pair in pairs)
-        kind = BasisKind.FULL
-    return _SweepContext(config, pairs, eigs, projector, kind, blocks)
+    return _SweepContext(config, pairs, eigs, projector, blocks)
 
 
 def _rows_for_batch(ctx: _SweepContext, specs: list[CoherentSpec]) -> list[SweepRow]:
@@ -110,30 +108,31 @@ def _rows_for_batch(ctx: _SweepContext, specs: list[CoherentSpec]) -> list[Sweep
         deficit = float(np.max(np.abs(1.0 - np.sum(np.abs(k0) ** 2, axis=0))))
         if deficit > PROJECTION_DEFICIT_TOL:
             raise ValueError(f"states leak out of the k=0 sector (deficit {deficit:.2e})")
-    ipr_states = k0 if ctx.basis_kind is BasisKind.SECTOR_K0 else psis
-    per_sample = np.empty((len(ctx.pairs), len(specs), 10))
-    for sample, (pair, eig) in enumerate(zip(ctx.pairs, ctx.eigs)):
-        blocks = None if ctx.blocks is None else ctx.blocks[sample]
-        f_batch = echo_overlaps(pair, psis if blocks is None else k0, config.t_cut, blocks)
-        for j, f in enumerate(np.ascontiguousarray(f_batch.T)):
-            fingerprint = state_fingerprint(config.chain_params, psis[:, j])
-            series = FidelitySeries(f, config.t_cut, fingerprint)
-            report = compute_report(series, normalize=config.normalize_by_tcut)
-            tail = asymptotic_fidelity(series, config.tail_window_fraction)
-            per_sample[sample, j] = (
-                ipr(ipr_states[:, j], eig, ctx.basis_kind).value,
-                report.blp, report.rhp, report.nd_max, report.nd_avg, report.ng_max, report.ng_avg,
-                tail.mean_F2, tail.mean_F, report.clamp_events,
-            )
-    rows = []
-    for spec, means in zip(specs, np.mean(per_sample, axis=0)):
-        row = SweepRow(spec.theta, spec.phi, spec.hemisphere, *(float(x) for x in means))
-        if not config.normalize_by_tcut and row.rhp != row.ng_max:
-            raise RuntimeError("row identity rhp == ng_max violated")
-        if row.nd_avg > row.nd_max + 1e-12:
-            raise RuntimeError("row invariant nd_avg <= nd_max violated")
-        rows.append(row)
-    return rows
+    sector_ipr = config.resolved_ipr_basis is IprBasisChoice.SECTOR_K0
+    ipr_states = k0 if sector_ipr else psis
+    per_sample = []
+    for pair, eig, blocks in zip(ctx.pairs, ctx.eigs, ctx.blocks):
+        series = FidelitySeries(
+            echo_overlaps(pair, psis if blocks is None else k0, config.t_cut, blocks)
+        )
+        report = compute_report(series, normalize=config.normalize_by_tcut)
+        tail = asymptotic_fidelity(series, config.tail_window_fraction)
+        per_sample.append((
+            ipr(ipr_states, eig),
+            report.blp, report.rhp, report.nd_max, report.nd_avg, report.ng_max, report.ng_avg,
+            tail.mean_F2, tail.mean_F, report.clamp_events,
+        ))
+    # One row of means per SweepRow measure field, one column per grid point.
+    means = np.mean(np.array(per_sample, dtype=float), axis=0)
+    _, _, rhp, nd_max, nd_avg, ng_max, *_ = means
+    if not config.normalize_by_tcut and not np.array_equal(rhp, ng_max):
+        raise RuntimeError("row identity rhp == ng_max violated")
+    if np.any(nd_avg > nd_max + 1e-12):
+        raise RuntimeError("row invariant nd_avg <= nd_max violated")
+    return [
+        SweepRow(spec.theta, spec.phi, spec.hemisphere, *values)
+        for spec, values in zip(specs, means.T.tolist())
+    ]
 
 
 def run_sweep(config: RunConfig) -> list[SweepRow]:
@@ -150,16 +149,11 @@ def run_sweep(config: RunConfig) -> list[SweepRow]:
         )
     ctx = _prepare_context(config)
     points = enumerate_grid(config.grid)
-    width = max(1, BATCH_BYTES // (16 * (config.t_cut + 1 + 4 * (1 << config.n_qubits))))
+    width = max(1, BATCH_BYTES // (16 * (3 * (config.t_cut + 1) + 4 * (1 << config.n_qubits))))
     rows: list[SweepRow] = []
     for start in range(0, len(points), width):
         rows.extend(_rows_for_batch(ctx, points[start : start + width]))
     return rows
-
-
-def _write_lines(lines: list[str], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _csv_lines(header: tuple[str, ...], rows: list) -> list[str]:
@@ -169,7 +163,7 @@ def _csv_lines(header: tuple[str, ...], rows: list) -> list[str]:
 
 def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
     """Deterministic CSV: exact field-name header, 10 significant digits, LF."""
-    _write_lines(_csv_lines(CSV_FIELDS, rows), path)
+    write_lines(_csv_lines(CSV_FIELDS, rows), path)
 
 
 def run_spectral(config: RunConfig) -> SpectralReport:
@@ -180,7 +174,7 @@ def run_spectral(config: RunConfig) -> SpectralReport:
 
 def write_spacing_histogram(report: SpectralReport, path: str) -> None:
     centers, density = spacing_histogram(report.spacings)
-    _write_lines([f"{c:.10g} {d:.10g}" for c, d in zip(centers, density)], path)
+    write_lines([f"{c:.10g} {d:.10g}" for c, d in zip(centers, density)], path)
 
 
 @dataclass(frozen=True)
@@ -207,19 +201,14 @@ def run_saturation(
         raise ValueError("checkpoints must be ascending positive integers")
     pair = build_floquet_pair(config.chain_params, RngStream(config.seed, 0))
     psi = build_coherent_state(spec, config.n_qubits)
-    full = fidelity_series(pair, psi, checkpoints[-1])
-    rows = []
-    for t in checkpoints:
-        prefix = FidelitySeries(full.f[: t + 1], t, full.params_fingerprint)
-        report = compute_report(prefix)
-        rows.append(
-            SaturationRow(
-                t, report.blp, report.rhp, report.nd_max, report.nd_avg,
-                report.ng_max, report.ng_avg, report.blp / t, report.rhp / t,
-            )
-        )
-    return rows
+    series = fidelity_series(pair, psi, checkpoints[-1])
+    r = compute_report(series, checkpoints=checkpoints)
+    columns = (
+        r.t_cut, r.blp, r.rhp, r.nd_max, r.nd_avg, r.ng_max, r.ng_avg,
+        r.blp / r.t_cut, r.rhp / r.t_cut,
+    )
+    return [SaturationRow(*cells) for cells in zip(*(c.tolist() for c in columns))]
 
 
 def write_saturation_csv(rows: list[SaturationRow], path: str) -> None:
-    _write_lines(_csv_lines(SATURATION_FIELDS, rows), path)
+    write_lines(_csv_lines(SATURATION_FIELDS, rows), path)

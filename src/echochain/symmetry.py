@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,21 +25,6 @@ def rotate_left(index: int, n_qubits: int) -> int:
     """Cyclic shift sending bit i to bit i+1 and the top bit to bit 0."""
     mask = (1 << n_qubits) - 1
     return ((index << 1) | (index >> (n_qubits - 1))) & mask
-
-
-def translation_permutation(n_qubits: int) -> np.ndarray:
-    idx = np.arange(1 << n_qubits)
-    return ((idx << 1) | (idx >> (n_qubits - 1))) & ((1 << n_qubits) - 1)
-
-
-def translate(state: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Applies the translation operator T once: T|b> = |rotate_left(b)>."""
-    state = np.asarray(state)
-    if state.shape != (1 << n_qubits,):
-        raise ValueError("state dimension does not match qubit count")
-    out = np.empty_like(state)
-    out[translation_permutation(n_qubits)] = state
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -115,26 +99,17 @@ def sector_matrix(op: FloquetOperator, basis: SectorBasis) -> np.ndarray:
     return block
 
 
-class BasisKind(enum.Enum):
-    SECTOR_K0 = "SECTOR_K0"
-    FULL = "FULL"
+def ipr(states: np.ndarray, eig: EigenSystem) -> float | np.ndarray:
+    """Inverse participation ratio sum_n |<n|state>|^4 over the eigenbasis.
 
-
-@dataclass(frozen=True)
-class IprResult:
-    value: float
-    basis_kind: BasisKind
-    degenerate_flag: bool
-
-
-def ipr(state: np.ndarray, eig: EigenSystem, basis_kind: BasisKind = BasisKind.FULL) -> IprResult:
-    """Inverse participation ratio sum_n |<n|state>|^4 over the eigenbasis."""
-    state = np.asarray(state, dtype=np.complex128)
-    if state.shape != (eig.vectors.shape[0],):
+    ``states`` is one state (d,), giving a float, or one state per column
+    (d, m), giving an (m,) array.
+    """
+    states = np.asarray(states, dtype=np.complex128)
+    if states.ndim not in (1, 2) or states.shape[0] != eig.vectors.shape[0]:
         raise ValueError("state dimension does not match eigenbasis")
-    coeffs = eig.vectors.conj().T @ state
-    weights = np.abs(coeffs) ** 2
-    deficit = abs(1.0 - float(np.sum(weights)))
+    weights = np.abs(eig.vectors.conj().T @ states) ** 2
+    deficit = float(np.max(np.abs(1.0 - np.sum(weights, axis=0))))
     if deficit > IPR_PROJECTION_TOL:
         raise ValueError(f"state lies outside the eigenbasis span (deficit {deficit:.2e})")
     if eig.degenerate:
@@ -142,7 +117,8 @@ def ipr(state: np.ndarray, eig: EigenSystem, basis_kind: BasisKind = BasisKind.F
             "eigenbasis has (near-)degenerate values; IPR is basis dependent there",
             stacklevel=2,
         )
-    return IprResult(float(np.sum(weights**2)), basis_kind, eig.degenerate)
+    values = np.sum(weights**2, axis=0)
+    return values if values.ndim else float(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,13 +134,6 @@ class SpectralReport:
 
 def brody_alpha(q: float) -> float:
     return math.gamma((q + 2.0) / (q + 1.0)) ** (q + 1.0)
-
-
-def brody_pdf(s: np.ndarray, q: float) -> np.ndarray:
-    """P_q(s) = (q+1) alpha s^q exp(-alpha s^{q+1}); q=0 Poisson, q=1 Wigner."""
-    s = np.asarray(s, dtype=float)
-    a = brody_alpha(q)
-    return (q + 1.0) * a * s**q * np.exp(-a * s ** (q + 1.0))
 
 
 def brody_cdf(s: np.ndarray, q: float) -> np.ndarray:

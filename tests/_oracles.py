@@ -8,6 +8,7 @@ of it shares code with the package's computational paths.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -220,3 +221,88 @@ def kron_coherent(theta: float, phi: float, n_qubits: int) -> np.ndarray:
     for _ in range(n_qubits):
         state = np.kron(state, single)
     return state
+
+
+def brody_pdf(s: np.ndarray, q: float) -> np.ndarray:
+    """P_q(s) = (q+1) alpha s^q exp(-alpha s^{q+1}); q=0 Poisson, q=1 Wigner."""
+    s = np.asarray(s, dtype=float)
+    a = brody_alpha_ref(q)
+    return (q + 1.0) * a * s**q * np.exp(-a * s ** (q + 1.0))
+
+
+def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
+    """<a|b> with conjugation on the first argument."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"vector dimension mismatch: {a.shape} vs {b.shape}")
+    return complex(np.vdot(a, b))
+
+
+def coherent_overlap(a, b, n_qubits: int) -> complex:
+    """Closed-form <a|b> for N-qubit coherent states given by (theta, phi) specs."""
+    half_a, half_b = a.theta / 2.0, b.theta / 2.0
+    single = math.cos(half_a) * math.cos(half_b) + (
+        math.sin(half_a) * math.sin(half_b) * np.exp(1j * (b.phi - a.phi))
+    )
+    return complex(single**n_qubits)
+
+
+def translation_permutation(n_qubits: int) -> np.ndarray:
+    """Index map of the cyclic shift sending bit i to bit i+1 and the top bit to bit 0."""
+    idx = np.arange(1 << n_qubits)
+    return ((idx << 1) | (idx >> (n_qubits - 1))) & ((1 << n_qubits) - 1)
+
+
+def translate(state: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Applies the translation operator T once: T|b> = |rotate_left(b)>."""
+    state = np.asarray(state)
+    if state.shape != (1 << n_qubits,):
+        raise ValueError("state dimension does not match qubit count")
+    out = np.empty_like(state)
+    out[translation_permutation(n_qubits)] = state
+    return out
+
+
+# Reference formulation of the qubit's dephasing channel, which the
+# divisibility indicator G is checked against.
+
+
+@dataclass(frozen=True)
+class ChannelSnapshot:
+    """Off-diagonal multiplier of the dephasing channel at one time."""
+
+    f_value: complex
+
+
+def channel_matrix(snapshot: ChannelSnapshot) -> np.ndarray:
+    """4x4 channel matrix in the Pauli basis (1, sigma_x, sigma_y, sigma_z).
+
+    Populations pass through; the coherence block rotates and shrinks by f.
+    """
+    re, im = snapshot.f_value.real, snapshot.f_value.imag
+    return np.array(
+        [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, re, -im, 0.0],
+            [0.0, im, re, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+        ]
+    )
+
+
+def choi_eigenvalues(multiplier: complex) -> np.ndarray:
+    """Nonzero eigenvalues (1 +- |multiplier|)/2 of the normalized Choi matrix."""
+    m = abs(multiplier)
+    return np.array([(1.0 + m) / 2.0, (1.0 - m) / 2.0])
+
+
+def choi_trace_norm(multiplier: complex) -> float:
+    """Trace norm of the (possibly non-CP) intermediate dephasing map.
+
+    The intermediate map from t to t' multiplies coherences by
+    lambda = f(t')/f(t); its normalized Choi eigenvalues are (1 +- |lambda|)/2,
+    so the trace norm is max(1, |lambda|) and exceeds 1 exactly when the
+    amplitude rose.
+    """
+    return max(1.0, abs(multiplier))

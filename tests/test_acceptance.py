@@ -17,18 +17,11 @@ from echochain.chain import (
 )
 from echochain.coherent import CoherentSpec, build_coherent_state
 from echochain.config import RunConfig
-from echochain.dynamics import (
-    ChannelSnapshot,
-    FidelitySeries,
-    choi_eigenvalues,
-    choi_trace_norm,
-    fidelity_series,
-)
+from echochain.dynamics import FidelitySeries, fidelity_series
 from echochain.linalg import RngStream, unitary_eig
-from echochain.measures import compute_report, indicator_G
+from echochain.measures import compute_report
 from echochain.sweep import run_sweep
 from echochain.symmetry import (
-    BasisKind,
     build_sector,
     brody_fit,
     ipr,
@@ -38,7 +31,10 @@ from echochain.symmetry import (
 
 from conftest import record_acceptance
 from _oracles import (
+    ChannelSnapshot,
     brody_sample,
+    choi_eigenvalues,
+    choi_trace_norm,
     dense_floquet,
     dense_kick_factor,
     match_phase_multisets,
@@ -63,7 +59,7 @@ def _reference_iprs(epsilon):
     out = {}
     for (theta, phi), _ in REFERENCE_IPR.items():
         psi = build_coherent_state(CoherentSpec(theta, phi), 10)
-        out[(theta, phi)] = ipr(b.conj().T @ psi, eig, BasisKind.SECTOR_K0).value
+        out[(theta, phi)] = ipr(b.conj().T @ psi, eig)
     return out
 
 
@@ -172,11 +168,12 @@ def test_7_measure_identities_on_synthetic_series():
         values = np.concatenate([[1.0], 1e-6 + (1.0 - 1e-6) * gen.random(length)])
         if i % 100 == 0:
             values = -np.sort(-values)  # exercise the nonincreasing branch too
-        series = FidelitySeries(values.astype(np.complex128), length, "synthetic")
+        series = FidelitySeries(values.astype(np.complex128))
         report = compute_report(series)
         amp = series.amplitude
+        g = compute_report(series, checkpoints=range(1, length + 1)).rhp  # G(1..t_cut)
         ok &= report.rhp == report.ng_max
-        ok &= report.rhp == indicator_G(series).values[-1]
+        ok &= report.rhp == g[-1]
         ok &= report.nd_max <= 1.0
         ok &= report.nd_avg <= report.nd_max + 1e-15
         ok &= report.nd_max <= report.blp + 1e-12
@@ -227,7 +224,7 @@ def test_9_divisibility_log_equals_channel_trace_norm():
     assert amp.min() > 1e-9  # no clamping in this regime
     snapshots = [ChannelSnapshot(f) for f in series.f]
     choi_min = min(float(choi_eigenvalues(s.f_value).min()) for s in snapshots)
-    g = indicator_G(series).values
+    g = np.concatenate([[0.0], compute_report(series, checkpoints=range(1, series.t_cut + 1)).rhp])
     worst = 0.0
     for t in range(series.t_cut):
         step = math.log(choi_trace_norm(series.f[t + 1] / series.f[t]))

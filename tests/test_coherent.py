@@ -5,12 +5,10 @@ from echochain.coherent import (
     CoherentSpec,
     SphereGrid,
     build_coherent_state,
-    coherent_overlap,
     enumerate_grid,
 )
-from echochain.linalg import inner_product
 
-from _oracles import kron_coherent
+from _oracles import coherent_overlap, inner_product, kron_coherent
 
 
 def test_north_pole_is_index_zero():

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,22 +7,24 @@ from echochain.chain import ChainParams, Coupling, build_floquet_pair
 from echochain.coherent import CoherentSpec, build_coherent_state
 from echochain.dynamics import (
     AsymptoticFidelity,
-    ChannelSnapshot,
     FidelitySeries,
     asymptotic_fidelity,
-    channel_matrix,
-    choi_eigenvalues,
-    choi_trace_norm,
     fidelity_series,
+    write_lines,
     write_series,
 )
 
-from _oracles import dense_floquet
+from _oracles import (
+    ChannelSnapshot,
+    channel_matrix,
+    choi_eigenvalues,
+    choi_trace_norm,
+    dense_floquet,
+)
 
 
 def _series_from_amplitudes(values) -> FidelitySeries:
-    f = np.asarray(values, dtype=np.complex128)
-    return FidelitySeries(f, len(f) - 1, "synthetic")
+    return FidelitySeries(np.asarray(values, dtype=np.complex128))
 
 
 def test_zero_epsilon_series_is_exactly_one():
@@ -68,14 +72,21 @@ def test_series_starts_at_exactly_one():
 
 
 def test_series_validation():
+    assert FidelitySeries(np.ones((4, 3))).t_cut == 3  # t_cut follows the length
     with pytest.raises(ValueError):
-        FidelitySeries(np.array([1.0, 0.5]), 5, "x")  # length mismatch
+        FidelitySeries(np.array([1.0]))  # t_cut must be at least 1
     with pytest.raises(ValueError):
-        FidelitySeries(np.array([0.9, 0.5]), 1, "x")  # must start at 1
+        FidelitySeries(np.ones((2, 2, 2)))  # one series or a batch of columns only
     with pytest.raises(ValueError):
-        FidelitySeries(np.array([1.0, 1.5]), 1, "x")  # above the unit bound
+        FidelitySeries(np.array([0.9, 0.5]))  # must start at 1
     with pytest.raises(ValueError):
-        FidelitySeries(np.array([1.0, np.nan]), 1, "x")  # NaN must fail the bound too
+        FidelitySeries(np.array([[1.0, 0.9], [0.5, 0.5]]))  # every column must start at 1
+    with pytest.raises(ValueError):
+        FidelitySeries(np.array([1.0, 1.5]))  # above the unit bound
+    with pytest.raises(ValueError):
+        FidelitySeries(np.array([1.0, np.nan]))  # NaN must fail the bound too
+    with pytest.raises(ValueError):
+        FidelitySeries(np.array([[1.0, 1.0], [0.5, np.nan]]))  # in any column
 
 
 def test_series_requires_normalized_state():
@@ -184,3 +195,39 @@ def test_write_series_format(tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0].split() == ["0", "1", "0"]
     assert lines[1].split() == ["1", "0.5", "0.25"]
+
+
+def test_write_lines_failure_keeps_previous_file(tmp_path):
+    out = tmp_path / "series.txt"
+    out.write_bytes(b"previous output\n")
+
+    def failing_lines():
+        yield "0 1 0"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        write_lines(failing_lines(), str(out))
+    assert out.read_bytes() == b"previous output\n"
+    assert os.listdir(tmp_path) == ["series.txt"]
+    write_lines(["a", "b"], str(out))
+    assert out.read_bytes() == b"a\nb\n"
+    assert os.listdir(tmp_path) == ["series.txt"]
+
+
+def test_asymptotic_batch_columns_match_single_series():
+    rng = np.random.default_rng(9)
+    f = rng.uniform(0.0, 1.0, (301, 4)) * np.exp(1j * rng.uniform(0.0, 6.0, (301, 4)))
+    f[0] = 1.0
+    batch = asymptotic_fidelity(FidelitySeries(f), tail_fraction=0.3)
+    assert batch.mean_F.shape == batch.mean_F2.shape == (4,)
+    for j in range(4):
+        alone = asymptotic_fidelity(FidelitySeries(f[:, j]), tail_fraction=0.3)
+        assert (batch.mean_F[j], batch.mean_F2[j]) == (alone.mean_F, alone.mean_F2)
+        assert batch.window == alone.window
+
+
+def test_asymptotic_bounds_hold_per_column():
+    with pytest.raises(ValueError):
+        AsymptoticFidelity(np.array([0.5, 0.5]), np.array([0.2, 0.6]), (0, 1))
+    with pytest.raises(ValueError):
+        AsymptoticFidelity(np.array([0.5, 1.5]), np.array([0.2, 0.2]), (0, 1))

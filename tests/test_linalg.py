@@ -10,7 +10,6 @@ from echochain.linalg import (
     hermitian_eig,
     hermitian_expm,
     hermiticity_defect,
-    inner_product,
     sample_gue,
     unitarity_defect,
     unitary_eig,
@@ -19,6 +18,7 @@ from echochain.chain import ChainParams, Coupling, assemble_dense, build_floquet
 
 from _oracles import (
     charpoly_eigenvalues,
+    inner_product,
     joint_phase_oracle,
     match_phase_multisets,
     semicircle_cdf,

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,13 @@ import echochain.sweep as sweep_module
 from echochain.chain import ChainParams, Coupling, build_floquet_pair
 from echochain.coherent import CoherentSpec, build_coherent_state
 from echochain.config import RunConfig
-from echochain.dynamics import asymptotic_fidelity, fidelity_series
+from echochain.dynamics import FidelitySeries, asymptotic_fidelity, fidelity_series, write_series
 from echochain.linalg import RngStream
 from echochain.measures import compute_report
+from echochain.symmetry import SpectralReport
 from echochain.sweep import (
     CSV_FIELDS,
+    SaturationRow,
     SATURATION_FIELDS,
     estimated_amplitude_ops,
     run_saturation,
@@ -19,6 +23,16 @@ from echochain.sweep import (
     write_spacing_histogram,
     write_sweep_csv,
 )
+
+from _oracles import pairwise_rise_max, rise_above_mean_max, run_based_blp, run_based_rhp
+
+
+def _assert_measures_match_oracles(row, amplitude):
+    """The row's measures against the independent run-based and pairwise formulations."""
+    assert row.blp == pytest.approx(run_based_blp(amplitude), rel=1e-12)
+    assert row.rhp == pytest.approx(run_based_rhp(amplitude), rel=1e-12)
+    assert row.nd_max == pytest.approx(pairwise_rise_max(amplitude), rel=1e-12)
+    assert row.nd_avg == pytest.approx(rise_above_mean_max(amplitude), rel=1e-12)
 
 
 def _config(**overrides):
@@ -81,6 +95,7 @@ def test_row_values_match_direct_pipeline():
     assert row.nd_max == pytest.approx(report.nd_max, rel=1e-12)
     assert row.f_asym == pytest.approx(tail.mean_F2, rel=1e-12)
     assert row.f_amp_asym == pytest.approx(tail.mean_F, rel=1e-12)
+    _assert_measures_match_oracles(row, series.amplitude)
 
 
 def test_sweep_csv_deterministic(tmp_path):
@@ -129,6 +144,7 @@ def test_every_coupling_matches_direct_pipeline(coupling):
         assert row.f_asym == pytest.approx(tail.mean_F2, rel=1e-12)
         assert row.f_amp_asym == pytest.approx(tail.mean_F, rel=1e-12)
         assert row.clamp_events == report.clamp_events
+        _assert_measures_match_oracles(row, series.amplitude)
 
 
 @pytest.mark.parametrize("coupling", [Coupling.VJ, Coupling.V0])
@@ -256,3 +272,33 @@ def test_saturation_csv(tmp_path):
     assert lines[0] == ",".join(SATURATION_FIELDS)
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "30"
+
+
+WRITERS = {
+    "sweep": lambda path: write_sweep_csv(run_sweep(_config(t_cut=4)), path),
+    "saturation": lambda path: write_saturation_csv(
+        [SaturationRow(3, *[0.5] * 8)], path
+    ),
+    "histogram": lambda path: write_spacing_histogram(
+        SpectralReport(np.ones(60), (1,), 0.5, 0.0, 0.1, 0.2, 0.1), path
+    ),
+    "series": lambda path: write_series(FidelitySeries(np.array([1.0, 0.5j])), path),
+}
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_writers_replace_output_atomically(writer, tmp_path, monkeypatch):
+    out = tmp_path / "out.txt"
+    WRITERS[writer](str(out))
+    written = out.read_bytes()
+    assert written.endswith(b"\n") and os.listdir(tmp_path) == ["out.txt"]
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    out.write_bytes(b"previous output\n")
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        WRITERS[writer](str(out))
+    assert out.read_bytes() == b"previous output\n"
+    assert os.listdir(tmp_path) == ["out.txt"]

@@ -9,11 +9,9 @@ from echochain.chain import ChainParams, Coupling, FloquetOperator, assemble_den
 from echochain.coherent import CoherentSpec, build_coherent_state
 from echochain.linalg import unitary_eig
 from echochain.symmetry import (
-    BasisKind,
     SymmetryViolationError,
     brody_cdf,
     brody_fit,
-    brody_pdf,
     build_sector,
     ipr,
     ks_statistic,
@@ -23,11 +21,16 @@ from echochain.symmetry import (
     sector_spacings,
     spacing_histogram,
     spacing_statistics,
+)
+
+from _oracles import (
+    brody_pdf,
+    brody_sample,
+    match_phase_multisets,
+    necklace_count,
     translate,
     translation_permutation,
 )
-
-from _oracles import brody_sample, match_phase_multisets, necklace_count
 
 
 def test_rotate_left_basics():
@@ -145,16 +148,27 @@ def _k0_eigensystem(n_qubits, b_perp, b_par, epsilon):
 
 def test_ipr_of_eigenvector_is_one():
     _, eig = _k0_eigensystem(6, 0.9, 1.3, 0.0)
-    result = ipr(eig.vectors[:, 3], eig, BasisKind.SECTOR_K0)
-    assert result.value == pytest.approx(1.0, abs=1e-12)
-    assert result.basis_kind is BasisKind.SECTOR_K0
+    assert ipr(eig.vectors[:, 3], eig) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ipr_of_uniform_superposition_is_inverse_count():
     _, eig = _k0_eigensystem(6, 0.9, 1.3, 0.0)
     d = 7
     psi = eig.vectors[:, :d].sum(axis=1) / math.sqrt(d)
-    assert ipr(psi, eig, BasisKind.SECTOR_K0).value == pytest.approx(1.0 / d, abs=1e-12)
+    assert ipr(psi, eig) == pytest.approx(1.0 / d, abs=1e-12)
+
+
+def test_ipr_batch_matches_single_states():
+    b, eig = _k0_eigensystem(8, 0.4, 1.3, 0.1)
+    angles = ((0.3, 1.0), (1.5, 3.5), (2.8, 4.8))
+    psis = np.stack([build_coherent_state(CoherentSpec(t, p), 8) for t, p in angles], axis=1)
+    states = b.conj().T @ psis
+    values = ipr(states, eig)
+    assert values.shape == (3,)
+    for j in range(3):
+        assert values[j] == pytest.approx(ipr(states[:, j], eig), rel=1e-12)
+    with pytest.raises(ValueError):
+        ipr(np.concatenate([states, 0.5 * states[:, :1]], axis=1), eig)  # one column off norm
 
 
 def test_ipr_rejects_state_outside_span():
@@ -177,7 +191,7 @@ def test_ipr_localization_reference_values():
     expected = {(2.8, 4.8): 0.457, (3.0, 2.2): 0.994, (1.5, 3.5): 0.046}
     for (theta, phi), target in expected.items():
         psi = build_coherent_state(CoherentSpec(theta, phi), 10)
-        value = ipr(b.conj().T @ psi, eig, BasisKind.SECTOR_K0).value
+        value = ipr(b.conj().T @ psi, eig)
         assert value == pytest.approx(target, abs=0.02)
 
 
@@ -194,8 +208,8 @@ def test_ipr_sector_and_full_bases_agree_for_sector_states():
         # Mirror sectors k and N-k force exact cross-sector degeneracies in
         # the full spectrum; they carry no weight of a k = 0 state.
         warnings.simplefilter("ignore")
-        full_value = ipr(psi, full_eig, BasisKind.FULL).value
-    sector_value = ipr(b.conj().T @ psi, sector_eig, BasisKind.SECTOR_K0).value
+        full_value = ipr(psi, full_eig)
+    sector_value = ipr(b.conj().T @ psi, sector_eig)
     assert abs(full_value - sector_value) < 1e-8
 
 

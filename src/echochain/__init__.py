@@ -12,7 +12,7 @@ from .config import ConfigError, RunConfig, parse_config
 from .dynamics import FidelitySeries, asymptotic_fidelity, fidelity_series
 from .linalg import RngStream, unitary_eig
 from .measures import NmReport, compute_report
-from .sweep import run_saturation, run_spectral, run_sweep
+from .sweep import run_saturation, run_series, run_spectral, run_sweep
 from .symmetry import ipr
 
 __version__ = "0.1.0"

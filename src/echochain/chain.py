@@ -106,6 +106,18 @@ class FloquetOperator:
     def dim(self) -> int:
         return 1 << self.n_qubits
 
+    @property
+    def translation_invariant(self) -> bool:
+        """No dense factor and one kick and one bond on every site.
+
+        Such a U commutes with cyclic translation and with the site reflection.
+        """
+        return (
+            self.dense_factor is None
+            and len(set(self.kick_fields)) == 1
+            and len(set(self.bond_strengths)) == 1
+        )
+
     @cached_property
     def _ising_phases(self) -> np.ndarray:
         return np.exp(-1j * _ising_angles(self.n_qubits, self.bond_strengths))

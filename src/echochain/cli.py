@@ -5,13 +5,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .chain import build_floquet_pair
-from .coherent import CoherentSpec, build_coherent_state
+from .coherent import CoherentSpec
 from .config import ConfigError, parse_config
-from .dynamics import fidelity_series, write_series
-from .linalg import RngStream
+from .dynamics import write_series
 from .sweep import (
     run_saturation,
+    run_series,
     run_spectral,
     run_sweep,
     write_saturation_csv,
@@ -86,9 +85,7 @@ def _cmd_saturate(args) -> None:
 
 def _cmd_series(args) -> None:
     config = parse_config(args.config)
-    pair = build_floquet_pair(config.chain_params, RngStream(config.seed, 0))
-    psi = build_coherent_state(CoherentSpec(args.theta, args.phi), config.n_qubits)
-    series = fidelity_series(pair, psi, config.t_cut)
+    series = run_series(config, CoherentSpec(args.theta, args.phi))
     out = args.out or config.output_path
     write_series(series, out)
     print(f"wrote {series.t_cut + 1} samples to {out}")

@@ -51,6 +51,8 @@ class RunConfig:
             raise ConfigError("gue_samples > 1 only makes sense with coupling VGUE")
         if not 0.0 < self.tail_window_fraction <= 1.0:
             raise ConfigError("tail_window_fraction must lie in (0, 1]")
+        if self.ipr_basis is IprBasisChoice.SECTOR_K0 and not self.coupling.translation_invariant:
+            raise ConfigError("ipr_basis = SECTOR_K0 needs coupling VJ or VB")
         # Surface parameter errors as config errors at parse time.
         try:
             self.chain_params

@@ -48,17 +48,21 @@ class FidelitySeries:
         return np.abs(self.f) ** 2
 
 
-def fidelity_series(pair: FloquetPair, psi: np.ndarray, t_cut: int) -> FidelitySeries:
-    """Advances (U+)^t psi and (U-)^t psi one kick at a time and records overlaps."""
+def fidelity_series(
+    pair: FloquetPair, psi: np.ndarray, t_cut: int, blocks: tuple | None = None
+) -> FidelitySeries:
+    """Advances (U+)^t psi and (U-)^t psi one kick at a time and records overlaps.
+
+    With ``blocks`` (see ``echo_overlaps``) ``psi`` is written in their coordinates.
+    """
     if t_cut < 1:
         raise ValueError("t_cut must be >= 1")
     psi = np.asarray(psi, dtype=np.complex128)
-    if psi.shape != (pair.plus.dim,):
+    if psi.shape != ((pair.plus.dim,) if blocks is None else blocks[0].shape[:1]):
         raise ValueError("state dimension does not match the propagators")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("psi must be normalized")
-    f = echo_overlaps(pair, psi, t_cut)
-    return FidelitySeries(f)
+    return FidelitySeries(echo_overlaps(pair, psi, t_cut, blocks))
 
 
 def echo_overlaps(

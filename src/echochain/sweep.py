@@ -1,9 +1,9 @@
-"""Poincare-sphere sweeps, spectral reports, saturation tables, CSV output."""
+"""Poincare-sphere sweeps, single series, spectral reports, saturation tables, CSV output."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class _SweepContext:
     config: RunConfig
     pairs: tuple[FloquetPair, ...]
     eigs: tuple
-    projector: np.ndarray | None  # k=0 momentum-basis columns, None when unused
+    projector: np.ndarray | None  # k=0 momentum-basis columns, None on the gate path
     blocks: tuple  # per pair, the k=0 blocks (B+, B-), or None on the gate path
 
 
@@ -74,24 +74,38 @@ def estimated_amplitude_ops(config: RunConfig) -> float:
     return float(points) * config.t_cut * per_step * config.gue_samples
 
 
+def _k0_blocks(
+    config: RunConfig, pairs: tuple[FloquetPair, ...]
+) -> tuple[np.ndarray | None, tuple]:
+    """Where a coupling's echo evolves: (k=0 momentum-basis columns, per pair (B+, B-)).
+
+    Spin-coherent states lie in k=0, so translation-invariant pairs evolve in
+    their k=0 blocks; the other couplings get (None, (None, ...)), the gate path.
+    """
+    if not config.coupling.translation_invariant:
+        return None, (None,) * len(pairs)
+    basis = build_sector(config.n_qubits, 0)
+    blocks = tuple((sector_matrix(p.plus, basis), sector_matrix(p.minus, basis)) for p in pairs)
+    return sector_basis_matrix(basis), blocks
+
+
+def _project(projector: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Coordinates of ``states`` in the projector's columns, which must keep their norm."""
+    coords = projector.conj().T @ states
+    deficit = float(np.max(np.abs(1.0 - np.sum(np.abs(coords) ** 2, axis=0))))
+    if deficit > PROJECTION_DEFICIT_TOL:
+        raise ValueError(f"states leak out of the k=0 sector (deficit {deficit:.2e})")
+    return coords
+
+
 def _prepare_context(config: RunConfig) -> _SweepContext:
     params = config.chain_params
     pairs = tuple(
         build_floquet_pair(params, RngStream(config.seed, m)) for m in range(config.gue_samples)
     )
-    # Spin-coherent states lie in k=0, so translation-invariant pairs evolve there.
-    in_sector = config.coupling.translation_invariant
-    sector_ipr = config.resolved_ipr_basis is IprBasisChoice.SECTOR_K0
-    projector = None
-    blocks = (None,) * len(pairs)
-    if in_sector or sector_ipr:
-        basis = build_sector(config.n_qubits, 0)
-        projector = sector_basis_matrix(basis)
-        plus_blocks = [sector_matrix(pair.plus, basis) for pair in pairs]
-    if in_sector:
-        blocks = tuple(zip(plus_blocks, (sector_matrix(pair.minus, basis) for pair in pairs)))
-    if sector_ipr:
-        eigs = tuple(unitary_eig(block) for block in plus_blocks)
+    projector, blocks = _k0_blocks(config, pairs)
+    if config.resolved_ipr_basis is IprBasisChoice.SECTOR_K0:
+        eigs = tuple(unitary_eig(plus) for plus, _ in blocks)
     else:
         if config.n_qubits > FULL_BASIS_QUBIT_CAP:
             raise ValueError(f"FULL eigenbasis refused above {FULL_BASIS_QUBIT_CAP} qubits")
@@ -102,12 +116,7 @@ def _prepare_context(config: RunConfig) -> _SweepContext:
 def _rows_for_batch(ctx: _SweepContext, specs: list[CoherentSpec]) -> list[SweepRow]:
     config = ctx.config
     psis = np.stack([build_coherent_state(spec, config.n_qubits) for spec in specs], axis=1)
-    k0 = None
-    if ctx.projector is not None:
-        k0 = ctx.projector.conj().T @ psis
-        deficit = float(np.max(np.abs(1.0 - np.sum(np.abs(k0) ** 2, axis=0))))
-        if deficit > PROJECTION_DEFICIT_TOL:
-            raise ValueError(f"states leak out of the k=0 sector (deficit {deficit:.2e})")
+    k0 = None if ctx.projector is None else _project(ctx.projector, psis)
     sector_ipr = config.resolved_ipr_basis is IprBasisChoice.SECTOR_K0
     ipr_states = k0 if sector_ipr else psis
     per_sample = []
@@ -177,6 +186,16 @@ def write_spacing_histogram(report: SpectralReport, path: str) -> None:
     write_lines([f"{c:.10g} {d:.10g}" for c, d in zip(centers, density)], path)
 
 
+def run_series(config: RunConfig, spec: CoherentSpec) -> FidelitySeries:
+    """f(t), t = 0..t_cut, of one coherent state, evolved as in a sweep."""
+    pair = build_floquet_pair(config.chain_params, RngStream(config.seed, 0))
+    projector, (blocks,) = _k0_blocks(config, (pair,))
+    psi = build_coherent_state(spec, config.n_qubits)
+    if projector is not None:
+        psi = _project(projector, psi)
+    return fidelity_series(pair, psi, config.t_cut, blocks)
+
+
 @dataclass(frozen=True)
 class SaturationRow:
     t_cut: int
@@ -199,9 +218,7 @@ def run_saturation(
     """Measures on prefixes of a single evolution, one row per cutoff time."""
     if not checkpoints or sorted(checkpoints) != list(checkpoints) or checkpoints[0] < 1:
         raise ValueError("checkpoints must be ascending positive integers")
-    pair = build_floquet_pair(config.chain_params, RngStream(config.seed, 0))
-    psi = build_coherent_state(spec, config.n_qubits)
-    series = fidelity_series(pair, psi, checkpoints[-1])
+    series = run_series(replace(config, t_cut=checkpoints[-1]), spec)
     r = compute_report(series, checkpoints=checkpoints)
     columns = (
         r.t_cut, r.blp, r.rhp, r.nd_max, r.nd_avg, r.ng_max, r.ng_avg,

@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chain import FloquetOperator, apply_floquet
-from .linalg import EigenSystem, unitary_eig
+from .linalg import DEGENERACY_GAP, EigenSystem, unitary_eig
 
 SECTOR_UNITARY_TOL = 1e-9
 IPR_PROJECTION_TOL = 1e-8
@@ -21,31 +21,31 @@ class SymmetryViolationError(ValueError):
     """The operator does not preserve the requested momentum sector."""
 
 
-def rotate_left(index: int, n_qubits: int) -> int:
-    """Cyclic shift sending bit i to bit i+1 and the top bit to bit 0."""
+def rotate_left(index, n_qubits: int):
+    """Cyclic shift sending bit i to bit i+1 and the top bit to bit 0 (elementwise on arrays)."""
     mask = (1 << n_qubits) - 1
     return ((index << 1) | (index >> (n_qubits - 1))) & mask
 
 
 @lru_cache(maxsize=None)
+def _rotations(n_qubits: int) -> np.ndarray:
+    """(N, 2^N) table whose row j maps every basis index b to T^j b."""
+    table = np.empty((n_qubits, 1 << n_qubits), dtype=np.int64)
+    table[0] = np.arange(1 << n_qubits)
+    for j in range(1, n_qubits):
+        table[j] = rotate_left(table[j - 1], n_qubits)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
 def _orbits(n_qubits: int) -> tuple[tuple[int, int], ...]:
-    # (smallest member, period) per cyclic orbit; scanning ascending makes
-    # the first-seen member the smallest.
-    dim = 1 << n_qubits
-    seen = bytearray(dim)
-    out = []
-    for b in range(dim):
-        if seen[b]:
-            continue
-        members = [b]
-        x = rotate_left(b, n_qubits)
-        while x != b:
-            members.append(x)
-            x = rotate_left(x, n_qubits)
-        for m in members:
-            seen[m] = 1
-        out.append((b, len(members)))
-    return tuple(out)
+    # (smallest member, period) per cyclic orbit, ascending by member.
+    rot = _rotations(n_qubits)
+    reps = np.flatnonzero(rot.min(axis=0) == rot[0])
+    home = rot[1:, reps] == reps
+    periods = np.where(home.any(axis=0), home.argmax(axis=0) + 1, n_qubits)
+    return tuple(zip(reps.tolist(), periods.tolist()))
 
 
 @dataclass(frozen=True)
@@ -68,28 +68,60 @@ def build_sector(n_qubits: int, k: int) -> SectorBasis:
 
 
 def sector_basis_matrix(basis: SectorBasis) -> np.ndarray:
-    """Columns are the momentum basis vectors (1/sqrt p) sum_j e^{-2pi i k j/N} T^j |r>."""
-    n, k = basis.n_qubits, basis.k
+    """Columns are the momentum basis vectors (1/sqrt p) sum_{j<p} e^{-2pi i k j/N} T^j |r>."""
+    n = basis.n_qubits
+    reps, periods = np.array(basis.orbit_reps, dtype=np.int64).T
+    j = np.arange(n)[:, np.newaxis]
+    member = j < periods  # T^j r for j < p are the orbit's distinct members
+    coeff = np.exp(-2j * np.pi * basis.k * j / n) / np.sqrt(periods)
+    cols = np.broadcast_to(np.arange(basis.dim), member.shape)
     b = np.zeros((1 << n, basis.dim), dtype=np.complex128)
-    for col, (rep, period) in enumerate(basis.orbit_reps):
-        coeff = np.exp(-2j * np.pi * k * np.arange(period) / n) / math.sqrt(period)
-        x = rep
-        for j in range(period):
-            b[x, col] = coeff[j]
-            x = rotate_left(x, n)
+    b[_rotations(n)[:, reps][member], cols[member]] = coeff[member]
     return b
 
 
-def sector_matrix(op: FloquetOperator, basis: SectorBasis) -> np.ndarray:
-    """Block <momentum basis| U |momentum basis>; must come out unitary.
+_LAST_IMAGES: dict = {}  # {op: _orbit_images(op)} for the last operator only
 
-    A non-unitary block means U leaks out of the sector, i.e. the coupling
-    breaks translation symmetry.
+
+def _orbit_images(op: FloquetOperator) -> np.ndarray:
+    """U|r> for every orbit representative r, one column each; all sectors read from it.
+
+    Kept for the last operator, so the sectors of one U share one apply; the
+    previous operator's images are dropped before the next are computed.
+    """
+    images = _LAST_IMAGES.get(op)
+    if images is None:
+        _LAST_IMAGES.clear()
+        reps = [r for r, _ in _orbits(op.n_qubits)]
+        unit = np.zeros((op.dim, len(reps)), dtype=np.complex128)
+        unit[reps, np.arange(len(reps))] = 1.0
+        images = apply_floquet(op, unit)
+        images.setflags(write=False)  # shared by every caller
+        _LAST_IMAGES[op] = images
+    return images
+
+
+def sector_matrix(op: FloquetOperator, basis: SectorBasis) -> np.ndarray:
+    """Block <k,r'|U|k,r> of a translation-invariant U; must come out unitary.
+
+    With T U = U T the block is read off the images U|r> of the orbit
+    representatives: <k,r'|U|k,r> = sqrt(p_r' p_r)/N sum_j e^{2pi i k j/N} <T^j r'|U|r>.
+    A non-unitary block means U leaks out of the sector.
     """
     if op.n_qubits != basis.n_qubits:
         raise ValueError("operator and sector qubit counts differ")
-    b = sector_basis_matrix(basis)
-    block = b.conj().T @ apply_floquet(op, b)
+    if not op.translation_invariant:
+        raise SymmetryViolationError(
+            "the operator breaks translation symmetry (site-dependent kicks or bonds, "
+            "or a dense factor)"
+        )
+    n = basis.n_qubits
+    reps, periods = np.array(basis.orbit_reps, dtype=np.int64).T
+    columns = np.searchsorted([r for r, _ in _orbits(n)], reps)
+    rows = _rotations(n)[:, reps]
+    images = _orbit_images(op)[rows[:, :, np.newaxis], columns]  # [j, r', r] = <T^j r'|U|r>
+    phases = np.exp(2j * np.pi * basis.k * np.arange(n) / n)
+    block = np.sqrt(np.outer(periods, periods)) / n * np.tensordot(phases, images, axes=1)
     defect = float(np.max(np.abs(block.conj().T @ block - np.eye(basis.dim))))
     if defect > SECTOR_UNITARY_TOL:
         raise SymmetryViolationError(
@@ -112,13 +144,29 @@ def ipr(states: np.ndarray, eig: EigenSystem) -> float | np.ndarray:
     deficit = float(np.max(np.abs(1.0 - np.sum(weights, axis=0))))
     if deficit > IPR_PROJECTION_TOL:
         raise ValueError(f"state lies outside the eigenbasis span (deficit {deficit:.2e})")
-    if eig.degenerate:
+    if eig.degenerate and _weight_on_degenerate_group(weights, eig.values):
         warnings.warn(
-            "eigenbasis has (near-)degenerate values; IPR is basis dependent there",
+            "state has weight on (near-)degenerate eigenvectors; IPR is basis dependent there",
             stacklevel=2,
         )
     values = np.sum(weights**2, axis=0)
     return values if values.ndim else float(values)
+
+
+def _weight_on_degenerate_group(weights: np.ndarray, phases: np.ndarray) -> bool:
+    """Whether a column weighs above IPR_PROJECTION_TOL on two vectors of one degenerate group.
+
+    A group is a run of eigenphases chained by gaps below DEGENERACY_GAP
+    (circularly). Only there do the eigenvectors, and with them the IPR,
+    depend on the solver.
+    """
+    gaps = np.diff(phases, append=phases[0] + 2.0 * np.pi)  # gap after each phase
+    group = np.concatenate([[0], np.cumsum(gaps[:-1] >= DEGENERACY_GAP)])
+    counts = np.zeros((group[-1] + 1,) + weights.shape[1:], dtype=np.int64)
+    if gaps[-1] < DEGENERACY_GAP:
+        group[group == group[-1]] = 0  # the last group wraps around onto the first
+    np.add.at(counts, group, weights > IPR_PROJECTION_TOL)
+    return bool(np.any(counts >= 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,23 +248,19 @@ def spacing_statistics(op: FloquetOperator, n_qubits: int) -> SpectralReport:
     """Pooled unfolded spacings over momentum sectors, excluding k = 0 and N/2.
 
     The excluded sectors carry an extra reflection symmetry that mixes
-    statistics; dropping them leaves clean ensembles.
+    statistics; dropping them leaves clean ensembles. The site reflection maps
+    sector k onto N - k and commutes with every translation-invariant U (which
+    ``sector_matrix`` insists on), so the two spectra coincide: sectors
+    1..(N-1)//2 are diagonalised and their spacings stand in for N - k as well.
     """
     if op.n_qubits != n_qubits:
         raise ValueError("operator and qubit count differ")
-    skip = {0}
-    if n_qubits % 2 == 0:
-        skip.add(n_qubits // 2)
-    pooled = []
-    used = []
-    for k in range(n_qubits):
-        if k in skip:
-            continue
+    by_sector = {}
+    for k in range(1, (n_qubits + 1) // 2):
         basis = build_sector(n_qubits, k)
-        eig = unitary_eig(sector_matrix(op, basis))
-        pooled.append(sector_spacings(eig, basis.dim))
-        used.append(k)
-    spacings = np.concatenate(pooled)
+        by_sector[k] = sector_spacings(unitary_eig(sector_matrix(op, basis)), basis.dim)
+    used = [k for k in range(1, n_qubits) if 2 * k != n_qubits]
+    spacings = np.concatenate([by_sector[min(k, n_qubits - k)] for k in used])
     q, loglik = brody_fit(spacings)
     # Kolmogorov-Smirnov distances to Poisson (q = 0), Wigner (q = 1) and the fit.
     ks = [ks_statistic(spacings, lambda x, p=p: brody_cdf(x, p)) for p in (0.0, 1.0, q)]

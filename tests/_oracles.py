@@ -254,6 +254,42 @@ def translation_permutation(n_qubits: int) -> np.ndarray:
     return ((idx << 1) | (idx >> (n_qubits - 1))) & ((1 << n_qubits) - 1)
 
 
+def orbits_ref(n_qubits: int) -> list[tuple[int, int]]:
+    """(smallest member, period) of every cyclic-shift orbit, found by walking each orbit."""
+    perm = translation_permutation(n_qubits)
+    seen = set()
+    out = []
+    for b in range(1 << n_qubits):
+        if b in seen:
+            continue
+        members = [b]
+        while int(perm[members[-1]]) != b:
+            members.append(int(perm[members[-1]]))
+        seen.update(members)
+        out.append((b, len(members)))
+    return out
+
+
+def sector_basis_ref(basis) -> np.ndarray:
+    """Momentum basis columns (1/sqrt p) sum_{j<p} e^{-2 pi i k j/N} T^j |r>, one orbit at a time."""
+    n, k = basis.n_qubits, basis.k
+    perm = translation_permutation(n)
+    b = np.zeros((1 << n, len(basis.orbit_reps)), dtype=np.complex128)
+    for col, (rep, period) in enumerate(basis.orbit_reps):
+        coeff = np.exp(-2j * np.pi * k * np.arange(period) / n) / math.sqrt(period)
+        x = rep
+        for j in range(period):
+            b[x, col] = coeff[j]
+            x = int(perm[x])
+    return b
+
+
+def sector_block_ref(u: np.ndarray, basis) -> np.ndarray:
+    """B^dag U B of a dense propagator U, with B the momentum basis columns."""
+    b = sector_basis_ref(basis)
+    return b.conj().T @ u @ b
+
+
 def translate(state: np.ndarray, n_qubits: int) -> np.ndarray:
     """Applies the translation operator T once: T|b> = |rotate_left(b)>."""
     state = np.asarray(state)

@@ -49,6 +49,14 @@ def test_zero_epsilon_collapses_pair(coupling):
     assert pair.plus.dense_factor is None
 
 
+@pytest.mark.parametrize("coupling", ALL_COUPLINGS)
+def test_operator_translation_invariance_follows_coupling(coupling):
+    pair = _pair(coupling)
+    for op in (pair.plus, pair.minus):
+        assert op.translation_invariant is coupling.translation_invariant
+    assert _pair(coupling, epsilon=0.0).plus.translation_invariant
+
+
 def test_vj_bond_values():
     pair = _pair(Coupling.VJ, n_qubits=4, epsilon=0.1)
     assert pair.plus.bond_strengths == (1.1, 1.1, 1.1, 1.1)

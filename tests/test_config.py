@@ -129,6 +129,14 @@ def test_explicit_basis_overrides_auto():
     assert config.resolved_ipr_basis is IprBasisChoice.FULL
 
 
+@pytest.mark.parametrize("coupling", ["V01", "V0", "VGUE"])
+def test_sector_ipr_basis_needs_translation_invariant_coupling(coupling):
+    with pytest.raises(ConfigError, match="SECTOR_K0"):
+        parse_config_text(MINIMAL.replace("= VJ", f"= {coupling}") + "ipr_basis = SECTOR_K0\n")
+    explicit = parse_config_text(MINIMAL.replace("= VJ", "= VB") + "ipr_basis = SECTOR_K0\n")
+    assert explicit.resolved_ipr_basis is IprBasisChoice.SECTOR_K0
+
+
 def test_chain_params_carries_seed_only_for_vgue():
     plain = parse_config_text(MINIMAL + "seed = 9\n")
     assert plain.chain_params.gue_seed is None

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import echochain.sweep as sweep_module
 from echochain.chain import ChainParams, Coupling, build_floquet_pair
 from echochain.coherent import CoherentSpec, build_coherent_state
-from echochain.config import RunConfig
+from echochain.config import IprBasisChoice, RunConfig
 from echochain.dynamics import FidelitySeries, asymptotic_fidelity, fidelity_series, write_series
 from echochain.linalg import RngStream
 from echochain.measures import compute_report
@@ -17,6 +18,7 @@ from echochain.sweep import (
     SATURATION_FIELDS,
     estimated_amplitude_ops,
     run_saturation,
+    run_series,
     run_spectral,
     run_sweep,
     write_saturation_csv,
@@ -254,6 +256,42 @@ def test_saturation_matches_fresh_prefix_runs():
         report = compute_report(series)
         assert row.blp == pytest.approx(report.blp, rel=1e-12)
         assert row.rhp_per_step == pytest.approx(report.rhp / row.t_cut, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_qubits", [6, 8])
+@pytest.mark.parametrize("coupling", [Coupling.VJ, Coupling.VB])
+def test_series_and_saturation_in_k0_blocks_match_gate_path(coupling, n_qubits):
+    # VJ and VB evolve in the k=0 blocks; the gate path on the full state is the reference.
+    config = _config(n_qubits=n_qubits, coupling=coupling, b_perp=0.9, t_cut=300)
+    pair = build_floquet_pair(config.chain_params)
+    for spec in (CoherentSpec(2.8, 4.8), CoherentSpec(1.0, 2.0)):
+        gate = fidelity_series(pair, build_coherent_state(spec, n_qubits), config.t_cut)
+        series = run_series(config, spec)
+        assert series.f.shape == gate.f.shape
+        # Relative to the amplitude's scale |f(0)| = 1: f passes near zero, where
+        # an element-wise ratio measures nothing but rounding.
+        assert np.max(np.abs(series.f - gate.f)) <= 1e-12
+        checkpoints = [50, 150, 300]
+        rows = run_saturation(config, spec, checkpoints)
+        report = compute_report(gate, checkpoints=checkpoints)
+        for i, row in enumerate(rows):
+            for name in ("blp", "rhp", "nd_max", "nd_avg", "ng_max", "ng_avg"):
+                expected = getattr(report, name)[i]
+                assert getattr(row, name) == pytest.approx(expected, rel=1e-12), name
+
+
+def test_full_basis_ipr_of_translation_invariant_sweep_does_not_warn():
+    # The full spectrum is degenerate between sectors k and N-k, which carry
+    # no weight of a coherent state, so the IPR is well defined and silent.
+    config = _config(n_qubits=6, coupling=Coupling.VB, ipr_basis=IprBasisChoice.FULL, t_cut=20)
+    assert sweep_module._prepare_context(config).eigs[0].degenerate
+    sector = _config(n_qubits=6, coupling=Coupling.VB, t_cut=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = run_sweep(config)
+        sector_rows = run_sweep(sector)
+    for full_row, sector_row in zip(rows, sector_rows):
+        assert full_row.ipr == pytest.approx(sector_row.ipr, rel=1e-10)
 
 
 def test_saturation_long_run_saturates_nd_max():

@@ -26,8 +26,12 @@ from echochain.symmetry import (
 from _oracles import (
     brody_pdf,
     brody_sample,
+    dense_floquet,
     match_phase_multisets,
     necklace_count,
+    orbits_ref,
+    sector_basis_ref,
+    sector_block_ref,
     translate,
     translation_permutation,
 )
@@ -76,6 +80,45 @@ def test_sector_dimension_necklace_counts():
 def test_sector_dimensions_sum_to_full_space(n_qubits):
     total = sum(build_sector(n_qubits, k).dim for k in range(n_qubits))
     assert total == 1 << n_qubits
+
+
+@pytest.mark.parametrize("n_qubits", list(range(2, 11)))
+def test_orbits_match_reference(n_qubits):
+    assert list(build_sector(n_qubits, 0).orbit_reps) == orbits_ref(n_qubits)
+
+
+@pytest.mark.parametrize("n_qubits", list(range(2, 9)))
+def test_sector_basis_matrix_matches_reference(n_qubits):
+    for k in range(n_qubits):
+        basis = build_sector(n_qubits, k)
+        assert np.array_equal(sector_basis_matrix(basis), sector_basis_ref(basis))
+
+
+def _uniform_operators(n_qubits):
+    """The bare chain and the U+ of VJ and VB: every operator sector_matrix accepts."""
+    return [
+        build_floquet_pair(ChainParams(n_qubits, 0.9, 1.3, eps, coupling)).plus
+        for eps, coupling in ((0.0, Coupling.VJ), (0.1, Coupling.VJ), (0.2, Coupling.VB))
+    ]
+
+
+@pytest.mark.parametrize("n_qubits", list(range(2, 9)))
+def test_sector_matrix_matches_reference_construction(n_qubits):
+    for op in _uniform_operators(n_qubits):
+        u = dense_floquet(op.kick_fields, op.bond_strengths, n_qubits)
+        for k in range(n_qubits):
+            basis = build_sector(n_qubits, k)
+            expected = sector_block_ref(u, basis)
+            assert np.abs(sector_matrix(op, basis) - expected).max() < 1e-12, k
+
+
+@pytest.mark.parametrize("n_qubits", list(range(5, 10)))
+def test_mirror_sectors_share_eigenphases(n_qubits):
+    for op in _uniform_operators(n_qubits):
+        for k in range(1, n_qubits):
+            phases = unitary_eig(sector_matrix(op, build_sector(n_qubits, k))).values
+            mirror = unitary_eig(sector_matrix(op, build_sector(n_qubits, n_qubits - k))).values
+            assert match_phase_multisets(phases, mirror, 1e-12) <= 1e-12
 
 
 def test_sector_basis_columns_orthonormal():
@@ -137,6 +180,32 @@ def test_site_coupling_also_breaks_translation():
     op = build_floquet_pair(params).plus
     with pytest.raises(SymmetryViolationError):
         sector_matrix(op, build_sector(4, 1))
+
+
+@pytest.mark.parametrize("coupling", [Coupling.V0, Coupling.V01, Coupling.VGUE])
+def test_spacing_statistics_refuses_symmetry_breaking_couplings(coupling):
+    params = ChainParams(6, 0.9, 1.3, 0.1, coupling, gue_seed=5)
+    op = build_floquet_pair(params).plus
+    assert not op.translation_invariant
+    with pytest.raises(SymmetryViolationError):
+        spacing_statistics(op, 6)
+
+
+@pytest.mark.parametrize("n_qubits", [9, 10])
+def test_spacing_statistics_matches_per_sector_recomputation(n_qubits):
+    # Mirror sectors are diagonalised once; the pooled sample must equal the
+    # one from diagonalising every used sector, in the same order.
+    op = build_floquet_pair(ChainParams(n_qubits, 1.0, 1.4, 0.1, Coupling.VJ)).plus
+    report = spacing_statistics(op, n_qubits)
+    used = [k for k in range(1, n_qubits) if 2 * k != n_qubits]
+    assert list(report.sectors_used) == used
+    pooled = []
+    for k in used:
+        basis = build_sector(n_qubits, k)
+        pooled.append(sector_spacings(unitary_eig(sector_matrix(op, basis)), basis.dim))
+    expected = np.concatenate(pooled)
+    assert report.spacings.shape == expected.shape
+    assert np.abs(report.spacings - expected).max() < 1e-11
 
 
 def _k0_eigensystem(n_qubits, b_perp, b_par, epsilon):
@@ -204,13 +273,40 @@ def test_ipr_sector_and_full_bases_agree_for_sector_states():
     sector_eig = unitary_eig(sector_matrix(op, basis))
     full_eig = unitary_eig(assemble_dense(op))
     psi = build_coherent_state(CoherentSpec(2.8, 4.8), n)
+    # Mirror sectors k and N-k force exact cross-sector degeneracies in the
+    # full spectrum; they carry no weight of a k = 0 state, so nothing warns.
+    assert full_eig.degenerate
     with warnings.catch_warnings():
-        # Mirror sectors k and N-k force exact cross-sector degeneracies in
-        # the full spectrum; they carry no weight of a k = 0 state.
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")
         full_value = ipr(psi, full_eig)
-    sector_value = ipr(b.conj().T @ psi, sector_eig)
+        sector_value = ipr(b.conj().T @ psi, sector_eig)
     assert abs(full_value - sector_value) < 1e-8
+
+
+def test_ipr_warns_for_weight_on_a_degenerate_pair():
+    # Eigenphases 0, 0 (exactly degenerate), pi/2 and pi.
+    eig = unitary_eig(np.diag([1.0, 1.0, 1j, -1.0]))
+    assert eig.degenerate
+    spread = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
+    with pytest.warns(UserWarning, match="degenerate"):
+        assert ipr(spread, eig) == pytest.approx(0.5, abs=1e-12)
+    outside = np.array([[0.0, 0.6], [0.0, 0.0], [1.0, 0.8], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # one vector of the pair at most: no warning
+        ipr(outside, eig)
+    with pytest.warns(UserWarning, match="degenerate"):
+        ipr(np.concatenate([outside, spread[:, np.newaxis]], axis=1), eig)
+
+
+def test_ipr_degenerate_group_wraps_around_pi():
+    # Phases -pi + 1e-12 and pi sit 1e-12 apart across the branch cut.
+    eig = unitary_eig(np.diag([-1.0, np.exp(1j * (-np.pi + 1e-12)), 1.0, 1j]))
+    across = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
+    with pytest.warns(UserWarning, match="degenerate"):
+        ipr(across, eig)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ipr(np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2.0), eig)
 
 
 def test_sector_spacings_count_and_mean():

@@ -131,7 +131,6 @@ class FloquetOperator:
 class FloquetPair:
     plus: FloquetOperator
     minus: FloquetOperator
-    params: ChainParams
 
     @property
     def identical(self) -> bool:
@@ -160,7 +159,7 @@ def build_floquet_pair(params: ChainParams, rng: RngStream | None = None) -> Flo
 
     if eps == 0.0:
         op = FloquetOperator(base_kick, base_bonds)
-        return FloquetPair(op, op, params)
+        return FloquetPair(op, op)
 
     c = params.coupling
     if c is Coupling.VJ:
@@ -189,7 +188,7 @@ def build_floquet_pair(params: ChainParams, rng: RngStream | None = None) -> Flo
         minus = FloquetOperator(base_kick, base_bonds, hermitian_expm(h_ising - eps * v, 1.0))
     else:  # pragma: no cover
         raise ValueError(f"unknown coupling {c}")
-    return FloquetPair(plus, minus, params)
+    return FloquetPair(plus, minus)
 
 
 def _apply_kicks(op: FloquetOperator, v: np.ndarray) -> np.ndarray:

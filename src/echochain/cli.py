@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .coherent import CoherentSpec
-from .config import ConfigError, parse_config
+from .config import parse_config
 from .dynamics import write_series
 from .sweep import (
     run_saturation,
@@ -103,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _COMMANDS[args.command](args)
-    except (ConfigError, ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -1,4 +1,9 @@
-"""Dense complex linear algebra and seeded randomness."""
+"""Dense complex linear algebra and seeded randomness.
+
+``unitary_eig`` is the one eigensolver behind the IPR and the spacing
+statistics; ``hermitian_expm`` and ``sample_gue`` call ``numpy.linalg``
+directly.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +15,6 @@ import scipy.linalg
 
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-9
-DEGENERACY_GAP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -28,21 +32,15 @@ class RngStream:
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Eigendecomposition result; eigenvectors are the columns of ``vectors``.
+    """Eigendecomposition of a unitary; eigenvectors are the columns of ``vectors``.
 
-    ``values`` holds real eigenvalues (Hermitian input) or eigenphases in
-    (-pi, pi] (unitary input), ascending. ``degenerate`` is set when any two
-    neighboring values sit closer than 1e-10 (circularly, for phases).
+    ``values`` holds the eigenphases in (-pi, pi], ascending; ``residual`` is
+    the largest column norm of ``U V - V e^{i values}``.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     residual: float
-    degenerate: bool
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[0])
 
 
 def _max_abs(m: np.ndarray) -> float:
@@ -66,37 +64,6 @@ def unitarity_defect(m: np.ndarray) -> float:
     return _max_abs(m.conj().T @ m - np.eye(m.shape[0]))
 
 
-def _tie_break_order(keys: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    # Secondary key: complex argument of the first non-negligible component,
-    # so exactly degenerate values still sort deterministically.
-    tie = np.zeros(len(keys))
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            tie[j] = math.atan2(col[nz[0]].imag, col[nz[0]].real)
-    order = np.lexsort((tie, keys))
-    return order
-
-
-def _column_residual(m: np.ndarray, vectors: np.ndarray, eigvals: np.ndarray) -> float:
-    r = m @ vectors - vectors * eigvals[np.newaxis, :]
-    return float(np.max(np.linalg.norm(r, axis=0)))
-
-
-def hermitian_eig(m: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    m = _require_square(m)
-    if hermiticity_defect(m) > HERMITIAN_TOL:
-        raise ValueError("matrix is not Hermitian within 1e-10")
-    values, vectors = np.linalg.eigh(m)
-    order = _tie_break_order(values, vectors)
-    values, vectors = values[order], vectors[:, order]
-    residual = _column_residual(m, vectors, values.astype(np.complex128))
-    degenerate = bool(values.size > 1 and np.min(np.diff(values)) < DEGENERACY_GAP)
-    return EigenSystem(values, vectors, residual, degenerate)
-
-
 def unitary_eig(u: np.ndarray) -> EigenSystem:
     """Eigenphases (in (-pi, pi], ascending) and eigenvectors of a unitary."""
     u = _require_square(u)
@@ -107,22 +74,19 @@ def unitary_eig(u: np.ndarray) -> EigenSystem:
     t, z = scipy.linalg.schur(u, output="complex")
     phases = np.angle(np.diag(t))
     phases[phases == -np.pi] = np.pi
-    order = _tie_break_order(phases, z)
+    order = np.argsort(phases, kind="stable")
     phases, vectors = phases[order], z[:, order]
-    residual = _column_residual(u, vectors, np.exp(1j * phases))
-    degenerate = False
-    if phases.size > 1:
-        gaps = np.diff(phases)
-        wrap = phases[0] + 2.0 * np.pi - phases[-1]
-        degenerate = bool(min(np.min(gaps), wrap) < DEGENERACY_GAP)
-    return EigenSystem(phases, vectors, residual, degenerate)
+    r = u @ vectors - vectors * np.exp(1j * phases)[np.newaxis, :]
+    return EigenSystem(phases, vectors, float(np.max(np.linalg.norm(r, axis=0))))
 
 
 def hermitian_expm(h: np.ndarray, scale: float) -> np.ndarray:
     """exp(-i * scale * h) for Hermitian h, via eigendecomposition."""
-    eig = hermitian_eig(h)
-    phases = np.exp(-1j * scale * eig.values)
-    return (eig.vectors * phases[np.newaxis, :]) @ eig.vectors.conj().T
+    h = _require_square(h)
+    if hermiticity_defect(h) > HERMITIAN_TOL:
+        raise ValueError("matrix is not Hermitian within 1e-10")
+    values, vectors = np.linalg.eigh(h)
+    return (vectors * np.exp(-1j * scale * values)[np.newaxis, :]) @ vectors.conj().T
 
 
 def gue_raw(dim: int, rng: RngStream) -> np.ndarray:

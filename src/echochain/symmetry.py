@@ -10,10 +10,11 @@ from functools import lru_cache
 import numpy as np
 
 from .chain import FloquetOperator, apply_floquet
-from .linalg import DEGENERACY_GAP, EigenSystem, unitary_eig
+from .linalg import EigenSystem, unitary_eig
 
 SECTOR_UNITARY_TOL = 1e-9
 IPR_PROJECTION_TOL = 1e-8
+DEGENERACY_GAP = 1e-10
 MIN_BRODY_SPACINGS = 50
 
 
@@ -144,7 +145,7 @@ def ipr(states: np.ndarray, eig: EigenSystem) -> float | np.ndarray:
     deficit = float(np.max(np.abs(1.0 - np.sum(weights, axis=0))))
     if deficit > IPR_PROJECTION_TOL:
         raise ValueError(f"state lies outside the eigenbasis span (deficit {deficit:.2e})")
-    if eig.degenerate and _weight_on_degenerate_group(weights, eig.values):
+    if _weight_on_degenerate_group(weights, eig.values):
         warnings.warn(
             "state has weight on (near-)degenerate eigenvectors; IPR is basis dependent there",
             stacklevel=2,

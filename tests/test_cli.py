@@ -137,3 +137,14 @@ def test_runtime_error_gives_one_error_line(small_config, capsys, monkeypatch):
     monkeypatch.setattr("echochain.cli.run_sweep", broken)
     assert main(["sweep", str(small_config)]) == 1
     assert capsys.readouterr().err == "error: row identity rhp == ng_max violated\n"
+
+
+def test_memory_error_gives_one_error_line(small_config, tmp_path, capsys, monkeypatch):
+    def broken(config, spec):
+        raise MemoryError("Unable to allocate 320. TiB for an array")
+
+    monkeypatch.setattr("echochain.cli.run_series", broken)
+    out = tmp_path / "f.dat"
+    assert main(["series", str(small_config), "--theta", "1", "--phi", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 320. TiB for an array\n"
+    assert not out.exists()

@@ -1,13 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from echochain import RngStream
 from echochain.linalg import (
-    DEGENERACY_GAP,
-    EigenSystem,
     gue_raw,
-    hermitian_eig,
     hermitian_expm,
     hermiticity_defect,
     sample_gue,
@@ -15,6 +14,7 @@ from echochain.linalg import (
     unitary_eig,
 )
 from echochain.chain import ChainParams, Coupling, assemble_dense, build_floquet_pair
+from echochain.symmetry import DEGENERACY_GAP, ipr
 
 from _oracles import (
     charpoly_eigenvalues,
@@ -54,50 +54,24 @@ def test_inner_product_dimension_mismatch():
         inner_product(np.ones(2), np.ones(3))
 
 
-def test_hermitian_eig_identity():
-    eig = hermitian_eig(np.eye(2, dtype=np.complex128))
-    assert np.allclose(eig.values, [1.0, 1.0])
-    gram = eig.vectors.conj().T @ eig.vectors
-    assert np.abs(gram - np.eye(2)).max() < 1e-12
-    assert eig.degenerate
-
-
-def test_hermitian_eig_pauli_x():
-    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    eig = hermitian_eig(x)
-    assert np.allclose(eig.values, [-1.0, 1.0])
-    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    assert abs(abs(inner_product(eig.vectors[:, 0], minus)) - 1.0) < 1e-12
-    assert abs(abs(inner_product(eig.vectors[:, 1], plus)) - 1.0) < 1e-12
-
-
-def test_hermitian_eig_rejects_nonhermitian():
+def test_hermitian_expm_rejects_nonhermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
-    with pytest.raises(ValueError):
-        hermitian_eig(m)
+    with pytest.raises(ValueError, match="not Hermitian within 1e-10"):
+        hermitian_expm(m, 1.0)
 
 
-def test_hermitian_eig_gue_against_charpoly_oracle():
+def test_hermitian_expm_gue_against_charpoly_oracle():
     h = gue_raw(8, RngStream(21, 0))
-    eig = hermitian_eig(h)
+    eig = unitary_eig(hermitian_expm(h, 1.0))
     roots = charpoly_eigenvalues(h)
     assert np.abs(np.imag(roots)).max() < 1e-8
-    assert np.abs(np.sort(np.real(roots)) - eig.values).max() < 1e-8
-
-
-def test_hermitian_eig_reconstruction_residual():
-    h = gue_raw(16, RngStream(22, 0))
-    eig = hermitian_eig(h)
-    rebuilt = (eig.vectors * eig.values) @ eig.vectors.conj().T
-    assert np.abs(rebuilt - h).max() < 1e-12
-    assert eig.residual < 1e-12
+    assert match_phase_multisets(eig.values, -np.real(roots), 1e-8) < 1e-8
 
 
 def test_unitary_eig_identity():
     eig = unitary_eig(np.eye(3, dtype=np.complex128))
     assert np.abs(eig.values).max() == 0.0
-    assert eig.degenerate
+    assert np.all(np.diff(eig.values) < DEGENERACY_GAP)
 
 
 def test_unitary_eig_diagonal_phases():
@@ -126,6 +100,7 @@ def test_unitary_eig_sorted_and_reconstructs():
     assert np.all(np.diff(eig.values) >= 0.0)
     rebuilt = (eig.vectors * np.exp(1j * eig.values)) @ eig.vectors.conj().T
     assert np.abs(rebuilt - u).max() < 1e-10
+    assert eig.residual < 1e-10
 
 
 def test_unitary_eig_against_joint_diagonalization_oracle():
@@ -134,12 +109,6 @@ def test_unitary_eig_against_joint_diagonalization_oracle():
     eig = unitary_eig(u)
     oracle_phases = joint_phase_oracle(u)
     assert match_phase_multisets(eig.values, oracle_phases, 1e-8) < 1e-8
-
-
-def test_eigensystem_dim_property():
-    eig = hermitian_eig(np.eye(3, dtype=np.complex128))
-    assert eig.dim == 3
-    assert isinstance(eig, EigenSystem)
 
 
 def test_hermitian_expm_zero_is_identity():
@@ -197,10 +166,14 @@ def test_sample_gue_spectral_norm_scaling():
 
 
 def test_degenerate_flag_threshold():
-    close = np.diag([0.0, DEGENERACY_GAP / 2.0]).astype(np.complex128)
-    apart = np.diag([0.0, 1.0]).astype(np.complex128)
-    assert hermitian_eig(close).degenerate
-    assert not hermitian_eig(apart).degenerate
+    close = unitary_eig(np.diag(np.exp(1j * np.array([0.0, DEGENERACY_GAP / 2.0]))))
+    apart = unitary_eig(np.diag(np.exp(1j * np.array([0.0, 1.0]))))
+    spread = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    with pytest.warns(UserWarning, match="degenerate"):
+        ipr(spread, close)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ipr(spread, apart)
 
 
 def test_rng_stream_generator_reproducible():

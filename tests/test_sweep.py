@@ -11,7 +11,7 @@ from echochain.config import IprBasisChoice, RunConfig
 from echochain.dynamics import FidelitySeries, asymptotic_fidelity, fidelity_series, write_series
 from echochain.linalg import RngStream
 from echochain.measures import compute_report
-from echochain.symmetry import SpectralReport
+from echochain.symmetry import DEGENERACY_GAP, SpectralReport
 from echochain.sweep import (
     CSV_FIELDS,
     SaturationRow,
@@ -284,7 +284,8 @@ def test_full_basis_ipr_of_translation_invariant_sweep_does_not_warn():
     # The full spectrum is degenerate between sectors k and N-k, which carry
     # no weight of a coherent state, so the IPR is well defined and silent.
     config = _config(n_qubits=6, coupling=Coupling.VB, ipr_basis=IprBasisChoice.FULL, t_cut=20)
-    assert sweep_module._prepare_context(config).eigs[0].degenerate
+    phases = sweep_module._prepare_context(config).eigs[0].values
+    assert np.min(np.diff(phases)) < DEGENERACY_GAP
     sector = _config(n_qubits=6, coupling=Coupling.VB, t_cut=20)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

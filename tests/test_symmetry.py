@@ -9,6 +9,7 @@ from echochain.chain import ChainParams, Coupling, FloquetOperator, assemble_den
 from echochain.coherent import CoherentSpec, build_coherent_state
 from echochain.linalg import unitary_eig
 from echochain.symmetry import (
+    DEGENERACY_GAP,
     SymmetryViolationError,
     brody_cdf,
     brody_fit,
@@ -275,7 +276,7 @@ def test_ipr_sector_and_full_bases_agree_for_sector_states():
     psi = build_coherent_state(CoherentSpec(2.8, 4.8), n)
     # Mirror sectors k and N-k force exact cross-sector degeneracies in the
     # full spectrum; they carry no weight of a k = 0 state, so nothing warns.
-    assert full_eig.degenerate
+    assert np.min(np.diff(full_eig.values)) < DEGENERACY_GAP
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         full_value = ipr(psi, full_eig)
@@ -286,7 +287,7 @@ def test_ipr_sector_and_full_bases_agree_for_sector_states():
 def test_ipr_warns_for_weight_on_a_degenerate_pair():
     # Eigenphases 0, 0 (exactly degenerate), pi/2 and pi.
     eig = unitary_eig(np.diag([1.0, 1.0, 1j, -1.0]))
-    assert eig.degenerate
+    assert np.min(np.diff(eig.values)) < DEGENERACY_GAP
     spread = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
     with pytest.warns(UserWarning, match="degenerate"):
         assert ipr(spread, eig) == pytest.approx(0.5, abs=1e-12)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import warnings
+import sys
+import time
 from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
@@ -29,8 +30,6 @@ from .symmetry import (
     spacing_statistics,
 )
 
-FULL_BASIS_QUBIT_CAP = 12
-OPS_WARN_THRESHOLD = 1e12
 # Memory budget of one batch of grid points. Per period, each point holds 16 B of
 # f(t) and 32 B of the measures pass's four float temporaries; per amplitude, a few
 # state-sized columns (initial state, both trajectories, step temporaries).
@@ -58,22 +57,6 @@ class SweepRow:
 CSV_FIELDS = tuple(f.name for f in fields(SweepRow))
 
 
-@dataclass(frozen=True, eq=False)
-class _SweepContext:
-    config: RunConfig
-    pairs: tuple[FloquetPair, ...]
-    eigs: tuple
-    projector: np.ndarray | None  # k=0 momentum-basis columns, None on the gate path
-    blocks: tuple  # per pair, the k=0 blocks (B+, B-), or None on the gate path
-
-
-def estimated_amplitude_ops(config: RunConfig) -> float:
-    """Rough amplitude-operation count of the evolution part of a sweep."""
-    points = len(config.grid.thetas) * len(config.grid.phis)
-    per_step = 2 * config.n_qubits * (1 << config.n_qubits)
-    return float(points) * config.t_cut * per_step * config.gue_samples
-
-
 def _k0_blocks(
     config: RunConfig, pairs: tuple[FloquetPair, ...]
 ) -> tuple[np.ndarray | None, tuple]:
@@ -98,7 +81,8 @@ def _project(projector: np.ndarray, states: np.ndarray) -> np.ndarray:
     return coords
 
 
-def _prepare_context(config: RunConfig) -> _SweepContext:
+def _prepare_context(config: RunConfig) -> tuple:
+    """(pairs, per pair the IPR eigensystem, k=0 projector or None, per pair (B+, B-) or None)."""
     params = config.chain_params
     pairs = tuple(
         build_floquet_pair(params, RngStream(config.seed, m)) for m in range(config.gue_samples)
@@ -107,20 +91,18 @@ def _prepare_context(config: RunConfig) -> _SweepContext:
     if config.resolved_ipr_basis is IprBasisChoice.SECTOR_K0:
         eigs = tuple(unitary_eig(plus) for plus, _ in blocks)
     else:
-        if config.n_qubits > FULL_BASIS_QUBIT_CAP:
-            raise ValueError(f"FULL eigenbasis refused above {FULL_BASIS_QUBIT_CAP} qubits")
         eigs = tuple(unitary_eig(assemble_dense(pair.plus)) for pair in pairs)
-    return _SweepContext(config, pairs, eigs, projector, blocks)
+    return pairs, eigs, projector, blocks
 
 
-def _rows_for_batch(ctx: _SweepContext, specs: list[CoherentSpec]) -> list[SweepRow]:
-    config = ctx.config
+def _rows_for_batch(config: RunConfig, context: tuple, specs: list[CoherentSpec]) -> list[SweepRow]:
+    pairs, eigs, projector, pair_blocks = context
     psis = np.stack([build_coherent_state(spec, config.n_qubits) for spec in specs], axis=1)
-    k0 = None if ctx.projector is None else _project(ctx.projector, psis)
+    k0 = None if projector is None else _project(projector, psis)
     sector_ipr = config.resolved_ipr_basis is IprBasisChoice.SECTOR_K0
     ipr_states = k0 if sector_ipr else psis
     per_sample = []
-    for pair, eig, blocks in zip(ctx.pairs, ctx.eigs, ctx.blocks):
+    for pair, eig, blocks in zip(pairs, eigs, pair_blocks):
         series = FidelitySeries(
             echo_overlaps(pair, psis if blocks is None else k0, config.t_cut, blocks)
         )
@@ -148,20 +130,19 @@ def run_sweep(config: RunConfig) -> list[SweepRow]:
     """One row per grid point, in grid order.
 
     The points evolve together as the columns of one array, in batches of at
-    most ``BATCH_BYTES``.
+    most ``BATCH_BYTES``. After every batch but the last, a progress line on
+    stderr gives the time left, extrapolated from the batches so far.
     """
-    estimate = estimated_amplitude_ops(config)
-    if estimate > OPS_WARN_THRESHOLD:
-        warnings.warn(
-            f"sweep estimated at ~{estimate:.1e} amplitude operations; expect a long run",
-            stacklevel=2,
-        )
-    ctx = _prepare_context(config)
+    context = _prepare_context(config)
     points = enumerate_grid(config.grid)
     width = max(1, BATCH_BYTES // (16 * (3 * (config.t_cut + 1) + 4 * (1 << config.n_qubits))))
     rows: list[SweepRow] = []
+    began = time.perf_counter()
     for start in range(0, len(points), width):
-        rows.extend(_rows_for_batch(ctx, points[start : start + width]))
+        rows.extend(_rows_for_batch(config, context, points[start : start + width]))
+        if len(rows) < len(points):
+            left = (time.perf_counter() - began) * (len(points) / len(rows) - 1)
+            print(f"{len(rows)}/{len(points)} points, about {left:.1f} s left", file=sys.stderr)
     return rows
 
 

@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chain import FloquetOperator, apply_floquet
-from .linalg import EigenSystem, unitary_eig
+from .linalg import EigenSystem, unitarity_defect, unitary_eig
 
 SECTOR_UNITARY_TOL = 1e-9
 IPR_PROJECTION_TOL = 1e-8
@@ -81,49 +81,42 @@ def sector_basis_matrix(basis: SectorBasis) -> np.ndarray:
     return b
 
 
-_LAST_IMAGES: dict = {}  # {op: _orbit_images(op)} for the last operator only
-
-
 def _orbit_images(op: FloquetOperator) -> np.ndarray:
-    """U|r> for every orbit representative r, one column each; all sectors read from it.
-
-    Kept for the last operator, so the sectors of one U share one apply; the
-    previous operator's images are dropped before the next are computed.
-    """
-    images = _LAST_IMAGES.get(op)
-    if images is None:
-        _LAST_IMAGES.clear()
-        reps = [r for r, _ in _orbits(op.n_qubits)]
-        unit = np.zeros((op.dim, len(reps)), dtype=np.complex128)
-        unit[reps, np.arange(len(reps))] = 1.0
-        images = apply_floquet(op, unit)
-        images.setflags(write=False)  # shared by every caller
-        _LAST_IMAGES[op] = images
-    return images
-
-
-def sector_matrix(op: FloquetOperator, basis: SectorBasis) -> np.ndarray:
-    """Block <k,r'|U|k,r> of a translation-invariant U; must come out unitary.
-
-    With T U = U T the block is read off the images U|r> of the orbit
-    representatives: <k,r'|U|k,r> = sqrt(p_r' p_r)/N sum_j e^{2pi i k j/N} <T^j r'|U|r>.
-    A non-unitary block means U leaks out of the sector.
-    """
-    if op.n_qubits != basis.n_qubits:
-        raise ValueError("operator and sector qubit counts differ")
+    """U|r> for every orbit representative r, one column each, from one apply."""
     if not op.translation_invariant:
         raise SymmetryViolationError(
             "the operator breaks translation symmetry (site-dependent kicks or bonds, "
             "or a dense factor)"
         )
+    reps = [r for r, _ in _orbits(op.n_qubits)]
+    unit = np.zeros((op.dim, len(reps)), dtype=np.complex128)
+    unit[reps, np.arange(len(reps))] = 1.0
+    return apply_floquet(op, unit)
+
+
+def sector_matrix(
+    op: FloquetOperator, basis: SectorBasis, images: np.ndarray | None = None
+) -> np.ndarray:
+    """Block <k,r'|U|k,r> of a translation-invariant U; must come out unitary.
+
+    With T U = U T the block is read off the images U|r> of the orbit
+    representatives: <k,r'|U|k,r> = sqrt(p_r' p_r)/N sum_j e^{2pi i k j/N} <T^j r'|U|r>.
+    ``images`` are those of ``op`` from ``_orbit_images``; without them the
+    call makes its own, one apply, and keeps nothing. A non-unitary block
+    means U leaks out of the sector.
+    """
+    if op.n_qubits != basis.n_qubits:
+        raise ValueError("operator and sector qubit counts differ")
+    if images is None:
+        images = _orbit_images(op)
     n = basis.n_qubits
     reps, periods = np.array(basis.orbit_reps, dtype=np.int64).T
     columns = np.searchsorted([r for r, _ in _orbits(n)], reps)
     rows = _rotations(n)[:, reps]
-    images = _orbit_images(op)[rows[:, :, np.newaxis], columns]  # [j, r', r] = <T^j r'|U|r>
+    images = images[rows[:, :, np.newaxis], columns]  # [j, r', r] = <T^j r'|U|r>
     phases = np.exp(2j * np.pi * basis.k * np.arange(n) / n)
     block = np.sqrt(np.outer(periods, periods)) / n * np.tensordot(phases, images, axes=1)
-    defect = float(np.max(np.abs(block.conj().T @ block - np.eye(basis.dim))))
+    defect = unitarity_defect(block)
     if defect > SECTOR_UNITARY_TOL:
         raise SymmetryViolationError(
             f"sector k={basis.k} block is not unitary (defect {defect:.2e}); "
@@ -154,6 +147,11 @@ def ipr(states: np.ndarray, eig: EigenSystem) -> float | np.ndarray:
     return values if values.ndim else float(values)
 
 
+def circular_gaps(phases: np.ndarray) -> np.ndarray:
+    """Gap after each ascending eigenphase; the last one wraps across the branch cut."""
+    return np.diff(phases, append=phases[0] + 2.0 * np.pi)
+
+
 def _weight_on_degenerate_group(weights: np.ndarray, phases: np.ndarray) -> bool:
     """Whether a column weighs above IPR_PROJECTION_TOL on two vectors of one degenerate group.
 
@@ -161,7 +159,9 @@ def _weight_on_degenerate_group(weights: np.ndarray, phases: np.ndarray) -> bool
     (circularly). Only there do the eigenvectors, and with them the IPR,
     depend on the solver.
     """
-    gaps = np.diff(phases, append=phases[0] + 2.0 * np.pi)  # gap after each phase
+    gaps = circular_gaps(phases)
+    if gaps.min() >= DEGENERACY_GAP:
+        return False
     group = np.concatenate([[0], np.cumsum(gaps[:-1] >= DEGENERACY_GAP)])
     counts = np.zeros((group[-1] + 1,) + weights.shape[1:], dtype=np.int64)
     if gaps[-1] < DEGENERACY_GAP:
@@ -237,12 +237,7 @@ def brody_fit(spacings: np.ndarray) -> tuple[float, float]:
 
 def sector_spacings(eig: EigenSystem, sector_dim: int) -> np.ndarray:
     """Circular nearest-neighbor gaps, unfolded to mean exactly 1."""
-    phases = eig.values
-    if phases.size == 1:
-        gaps = np.array([2.0 * np.pi])
-    else:
-        gaps = np.concatenate([np.diff(phases), [phases[0] + 2.0 * np.pi - phases[-1]]])
-    return gaps * sector_dim / (2.0 * np.pi)
+    return circular_gaps(eig.values) * sector_dim / (2.0 * np.pi)
 
 
 def spacing_statistics(op: FloquetOperator, n_qubits: int) -> SpectralReport:
@@ -251,15 +246,17 @@ def spacing_statistics(op: FloquetOperator, n_qubits: int) -> SpectralReport:
     The excluded sectors carry an extra reflection symmetry that mixes
     statistics; dropping them leaves clean ensembles. The site reflection maps
     sector k onto N - k and commutes with every translation-invariant U (which
-    ``sector_matrix`` insists on), so the two spectra coincide: sectors
+    ``_orbit_images`` insists on), so the two spectra coincide: sectors
     1..(N-1)//2 are diagonalised and their spacings stand in for N - k as well.
+    Every block is read from the same images, one apply of U.
     """
     if op.n_qubits != n_qubits:
         raise ValueError("operator and qubit count differ")
+    images = _orbit_images(op)
     by_sector = {}
     for k in range(1, (n_qubits + 1) // 2):
         basis = build_sector(n_qubits, k)
-        by_sector[k] = sector_spacings(unitary_eig(sector_matrix(op, basis)), basis.dim)
+        by_sector[k] = sector_spacings(unitary_eig(sector_matrix(op, basis, images)), basis.dim)
     used = [k for k in range(1, n_qubits) if 2 * k != n_qubits]
     spacings = np.concatenate([by_sector[min(k, n_qubits - k)] for k in used])
     q, loglik = brody_fit(spacings)

@@ -6,6 +6,7 @@ name it cannot find, so a rename would silently empty a per-layer metric.
 
 import importlib
 import importlib.util
+import pickle
 from pathlib import Path
 
 import pytest
@@ -30,3 +31,16 @@ def _traced_names():
 def test_traced_name_is_a_package_function(layer, name):
     module = importlib.import_module(f"echochain.{layer}")
     assert callable(getattr(module, name, None)), f"echochain.{layer}.{name}"
+
+
+def test_sweep_context_pickles():
+    # trace_run.py sizes the value that CONTEXT returns with pickle.dumps (sweep.ctx_bytes).
+    from echochain.chain import Coupling
+    from echochain.config import RunConfig
+    from echochain.sweep import _prepare_context
+
+    config = RunConfig(
+        n_qubits=6, b_perp=0.9, b_par=1.4, epsilon=0.1, coupling=Coupling.VJ, t_cut=10,
+        theta_min=0.5, theta_max=0.5, theta_step=1.0, phi_min=0.5, phi_max=0.5, phi_step=1.0,
+    )
+    assert pickle.loads(pickle.dumps(_prepare_context(config)))

@@ -1,4 +1,5 @@
 import os
+import re
 import warnings
 
 import numpy as np
@@ -16,7 +17,6 @@ from echochain.sweep import (
     CSV_FIELDS,
     SaturationRow,
     SATURATION_FIELDS,
-    estimated_amplitude_ops,
     run_saturation,
     run_series,
     run_spectral,
@@ -150,12 +150,17 @@ def test_every_coupling_matches_direct_pipeline(coupling):
 
 
 @pytest.mark.parametrize("coupling", [Coupling.VJ, Coupling.V0])
-def test_rows_do_not_depend_on_batching(coupling, monkeypatch):
+def test_rows_do_not_depend_on_batching(coupling, monkeypatch, capsys):
     config = _config(coupling=coupling, t_cut=90)
     together = run_sweep(config)
+    assert capsys.readouterr().err == ""  # one batch, no progress line
     # A budget below one column's bytes forces one grid point per batch.
     monkeypatch.setattr(sweep_module, "BATCH_BYTES", 1)
     one_by_one = run_sweep(config)
+    progress = capsys.readouterr().err.splitlines()
+    assert len(progress) == 8  # after every batch but the last
+    for done, line in enumerate(progress, start=1):
+        assert re.fullmatch(rf"{done}/9 points, about \d+\.\d s left", line), line
     assert len(together) == len(one_by_one) == 9
     for a, b in zip(together, one_by_one):
         _assert_rows_close(a, b)
@@ -165,6 +170,7 @@ def test_rows_do_not_depend_on_batching(coupling, monkeypatch):
             phi_min=row.phi, phi_max=row.phi,
         )
         _assert_rows_close(row, run_sweep(single)[0])
+    assert capsys.readouterr().err == ""
 
 
 def test_vgue_rows_average_over_samples():
@@ -182,22 +188,9 @@ def test_vgue_rows_average_over_samples():
     assert row.blp == pytest.approx(np.mean(per_sample), rel=1e-12)
 
 
-def test_estimated_amplitude_ops_formula():
-    config = _config()
-    points = len(config.grid.thetas) * len(config.grid.phis)
-    expected = points * config.t_cut * 2 * 4 * (1 << 4)
-    assert estimated_amplitude_ops(config) == expected
-
-
-def test_large_sweep_warns(monkeypatch):
-    monkeypatch.setattr(sweep_module, "OPS_WARN_THRESHOLD", 1.0)
-    with pytest.warns(UserWarning, match="amplitude operations"):
-        run_sweep(_config(theta_min=1.0, theta_max=1.0, phi_min=1.0, phi_max=1.0, t_cut=5))
-
-
 def test_full_basis_cap_enforced():
     config = _config(n_qubits=13, coupling=Coupling.V0, b_perp=0.5, t_cut=5)
-    with pytest.raises(ValueError, match="FULL eigenbasis"):
+    with pytest.raises(ValueError, match="dense assembly refused beyond dimension 4096"):
         run_sweep(config)
 
 
@@ -284,7 +277,8 @@ def test_full_basis_ipr_of_translation_invariant_sweep_does_not_warn():
     # The full spectrum is degenerate between sectors k and N-k, which carry
     # no weight of a coherent state, so the IPR is well defined and silent.
     config = _config(n_qubits=6, coupling=Coupling.VB, ipr_basis=IprBasisChoice.FULL, t_cut=20)
-    phases = sweep_module._prepare_context(config).eigs[0].values
+    _, (eig,), _, _ = sweep_module._prepare_context(config)
+    phases = eig.values
     assert np.min(np.diff(phases)) < DEGENERACY_GAP
     sector = _config(n_qubits=6, coupling=Coupling.VB, t_cut=20)
     with warnings.catch_warnings():

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from echochain.chain import ChainParams, Coupling, FloquetOperator, assemble_dense, build_floquet_pair
+import echochain.symmetry as symmetry_module
+from echochain.chain import (
+    ChainParams,
+    Coupling,
+    FloquetOperator,
+    apply_floquet,
+    assemble_dense,
+    build_floquet_pair,
+)
 from echochain.coherent import CoherentSpec, build_coherent_state
 from echochain.linalg import unitary_eig
 from echochain.symmetry import (
@@ -183,13 +191,44 @@ def test_site_coupling_also_breaks_translation():
         sector_matrix(op, build_sector(4, 1))
 
 
+def _count_applies(monkeypatch):
+    """List that records one entry per apply_floquet call made by the symmetry module."""
+    calls = []
+
+    def counted(op, state):
+        calls.append(np.shape(state))
+        return apply_floquet(op, state)
+
+    monkeypatch.setattr(symmetry_module, "apply_floquet", counted)
+    return calls
+
+
 @pytest.mark.parametrize("coupling", [Coupling.V0, Coupling.V01, Coupling.VGUE])
-def test_spacing_statistics_refuses_symmetry_breaking_couplings(coupling):
+def test_spacing_statistics_refuses_symmetry_breaking_couplings(coupling, monkeypatch):
     params = ChainParams(6, 0.9, 1.3, 0.1, coupling, gue_seed=5)
     op = build_floquet_pair(params).plus
     assert not op.translation_invariant
+    calls = _count_applies(monkeypatch)
     with pytest.raises(SymmetryViolationError):
         spacing_statistics(op, 6)
+    assert calls == []  # refused before any apply
+
+
+@pytest.mark.parametrize("n_qubits", [9, 10])
+def test_spacing_statistics_applies_the_operator_once(n_qubits, monkeypatch):
+    op = build_floquet_pair(ChainParams(n_qubits, 1.0, 1.4, 0.1, Coupling.VJ)).plus
+    calls = _count_applies(monkeypatch)
+    spacing_statistics(op, n_qubits)
+    assert calls == [(1 << n_qubits, necklace_count(n_qubits))]  # one column per orbit
+
+
+def test_sector_matrix_is_reproducible_without_a_cache(monkeypatch):
+    op = build_floquet_pair(ChainParams(8, 1.0, 1.4, 0.1, Coupling.VB)).plus
+    basis = build_sector(8, 3)
+    calls = _count_applies(monkeypatch)
+    first, second = sector_matrix(op, basis), sector_matrix(op, basis)
+    assert len(calls) == 2  # one apply per call, nothing kept between them
+    assert np.array_equal(first, second)
 
 
 @pytest.mark.parametrize("n_qubits", [9, 10])

@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chain import FloquetOperator, apply_floquet
-from .linalg import EigenSystem, unitarity_defect, unitary_eig
+from .linalg import EigenSystem, unitarity_defect, unitary_phases
 
 SECTOR_UNITARY_TOL = 1e-9
 IPR_PROJECTION_TOL = 1e-8
@@ -235,9 +235,9 @@ def brody_fit(spacings: np.ndarray) -> tuple[float, float]:
     return q, loglik(q)
 
 
-def sector_spacings(eig: EigenSystem, sector_dim: int) -> np.ndarray:
-    """Circular nearest-neighbor gaps, unfolded to mean exactly 1."""
-    return circular_gaps(eig.values) * sector_dim / (2.0 * np.pi)
+def sector_spacings(phases: np.ndarray, sector_dim: int) -> np.ndarray:
+    """Circular nearest-neighbor gaps of ascending eigenphases, unfolded to mean exactly 1."""
+    return circular_gaps(phases) * sector_dim / (2.0 * np.pi)
 
 
 def spacing_statistics(op: FloquetOperator, n_qubits: int) -> SpectralReport:
@@ -256,7 +256,7 @@ def spacing_statistics(op: FloquetOperator, n_qubits: int) -> SpectralReport:
     by_sector = {}
     for k in range(1, (n_qubits + 1) // 2):
         basis = build_sector(n_qubits, k)
-        by_sector[k] = sector_spacings(unitary_eig(sector_matrix(op, basis, images)), basis.dim)
+        by_sector[k] = sector_spacings(unitary_phases(sector_matrix(op, basis, images)), basis.dim)
     used = [k for k in range(1, n_qubits) if 2 * k != n_qubits]
     spacings = np.concatenate([by_sector[min(k, n_qubits - k)] for k in used])
     q, loglik = brody_fit(spacings)

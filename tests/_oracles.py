@@ -1,8 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately written the slow, obvious way: explicit
-kron products, scipy expm, characteristic polynomials, double loops. None
-of it shares code with the package's computational paths.
+kron products, scipy expm and Schur, characteristic polynomials, double
+loops. None of it shares code with the package's computational paths.
 """
 
 from __future__ import annotations
@@ -106,6 +106,19 @@ def joint_phase_oracle(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     out = np.sort(np.asarray(phases))
     out[out == -np.pi] = np.pi
     return np.sort(out)
+
+
+def schur_eig_ref(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenphases in (-pi, pi] ascending, eigenvectors) of a unitary from its Schur form.
+
+    A unitary is normal, so its complex Schur form is diagonal and the Schur
+    vectors are eigenvectors.
+    """
+    t, z = scipy.linalg.schur(u, output="complex")
+    phases = np.angle(np.diag(t))
+    phases[phases == -np.pi] = np.pi
+    order = np.argsort(phases, kind="stable")
+    return phases[order], z[:, order]
 
 
 def semicircle_cdf(x: np.ndarray, radius: float) -> np.ndarray:

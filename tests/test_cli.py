@@ -3,7 +3,10 @@ import sys
 
 import pytest
 
+from echochain.chain import ChainParams, Coupling, build_floquet_pair
 from echochain.cli import main
+from echochain.linalg import unitary_eig
+from echochain.symmetry import build_sector, sector_matrix
 
 SMALL = """
 n_qubits = 4
@@ -148,3 +151,22 @@ def test_memory_error_gives_one_error_line(small_config, tmp_path, capsys, monke
     assert main(["series", str(small_config), "--theta", "1", "--phi", "2", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: Unable to allocate 320. TiB for an array\n"
     assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, echochain.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+def test_exhausted_cayley_shifts_give_one_error_line(small_config, tmp_path, capsys, monkeypatch):
+    # Place every shift exactly on an eigenphase of the k=0 block the sweep diagonalises.
+    op = build_floquet_pair(ChainParams(4, 0.3, 1.4, 0.1, Coupling.VJ)).plus
+    phases = unitary_eig(sector_matrix(op, build_sector(4, 0))).values
+    monkeypatch.setattr("echochain.linalg.CAYLEY_SHIFTS", tuple(phases))
+    assert main(["sweep", str(small_config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: none of the {len(phases)} Cayley shifts")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()

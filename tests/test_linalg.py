@@ -6,21 +6,24 @@ import scipy.stats
 
 from echochain import RngStream
 from echochain.linalg import (
+    CAYLEY_SHIFTS,
     gue_raw,
     hermitian_expm,
     hermiticity_defect,
     sample_gue,
     unitarity_defect,
     unitary_eig,
+    unitary_phases,
 )
 from echochain.chain import ChainParams, Coupling, assemble_dense, build_floquet_pair
-from echochain.symmetry import DEGENERACY_GAP, ipr
+from echochain.symmetry import DEGENERACY_GAP, build_sector, circular_gaps, ipr, sector_matrix
 
 from _oracles import (
     charpoly_eigenvalues,
     inner_product,
     joint_phase_oracle,
     match_phase_multisets,
+    schur_eig_ref,
     semicircle_cdf,
     taylor_expm,
 )
@@ -103,12 +106,100 @@ def test_unitary_eig_sorted_and_reconstructs():
     assert eig.residual < 1e-10
 
 
+def _full(params):
+    return assemble_dense(build_floquet_pair(params).plus)
+
+
+ORACLE_MATRICES = {
+    "VJ-N6-full": lambda: _full(ChainParams(6, 0.83, 1.21, 0.0, Coupling.VJ)),
+    "V0-N8-full": lambda: _full(ChainParams(8, 1.0, 1.4, 0.1, Coupling.V0)),
+    "VGUE-N7-draw": lambda: _full(ChainParams(7, 1.0, 1.4, 0.1, Coupling.VGUE, gue_seed=5)),
+    "VJ-N10-k1-block": lambda: sector_matrix(
+        build_floquet_pair(ChainParams(10, 1.0, 1.4, 0.1, Coupling.VJ)).plus, build_sector(10, 1)
+    ),
+}
+
+
 def test_unitary_eig_against_joint_diagonalization_oracle():
-    params = ChainParams(6, 0.83, 1.21, 0.0, Coupling.VJ)
-    u = assemble_dense(build_floquet_pair(params).plus)
+    for name, build in ORACLE_MATRICES.items():
+        u = build()
+        eig = unitary_eig(u)
+        oracle_phases = joint_phase_oracle(u)
+        assert match_phase_multisets(eig.values, oracle_phases, 1e-8) < 1e-8, name
+
+
+@pytest.mark.parametrize("name", ["V0-N8-full", "VGUE-N7-draw", "VJ-N10-k1-block"])
+def test_unitary_eig_against_schur_oracle(name):
+    u = ORACLE_MATRICES[name]()
+    ref_phases, ref_vectors = schur_eig_ref(u)
+    # The IPR is basis independent only where no two phases (nearly) coincide.
+    assert circular_gaps(ref_phases).min() > 1e-6
     eig = unitary_eig(u)
-    oracle_phases = joint_phase_oracle(u)
-    assert match_phase_multisets(eig.values, oracle_phases, 1e-8) < 1e-8
+    assert match_phase_multisets(eig.values, ref_phases, 1e-12) < 1e-12
+    assert match_phase_multisets(unitary_phases(u), ref_phases, 1e-12) < 1e-12
+    assert np.all(np.diff(unitary_phases(u)) >= 0.0)
+    assert np.abs(eig.vectors.conj().T @ eig.vectors - np.eye(len(u))).max() < 1e-13
+    assert eig.residual < 1e-10
+    g = np.random.default_rng(3)
+    states = g.standard_normal((len(u), 5)) + 1j * g.standard_normal((len(u), 5))
+    states /= np.linalg.norm(states, axis=0)
+    expected = np.sum(np.abs(ref_vectors.conj().T @ states) ** 4, axis=0)
+    assert np.abs(ipr(states, eig) / expected - 1.0).max() < 1e-10
+
+
+def _random_unitary(dim, seed):
+    g = np.random.default_rng(seed)
+    q, r = np.linalg.qr(g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+FIRST_SHIFT = CAYLEY_SHIFTS[0]
+
+
+@pytest.mark.parametrize(
+    "phases",
+    [
+        [FIRST_SHIFT, 0.3, -1.0, 3.0, -2.5],  # exactly on the shift
+        [FIRST_SHIFT + 1e-15, 0.3, -1.0, 3.0, -2.5],  # a rounding step off it
+        [FIRST_SHIFT, FIRST_SHIFT, 0.3, -1.0, 3.0],  # a degenerate pair on it
+    ],
+    ids=["on-shift", "1e-15-off", "degenerate-pair"],
+)
+@pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+def test_unitary_eig_with_phases_on_the_shift(phases, rotated):
+    # 1 - zU is singular up to rounding, so the inverse returns entries of
+    # 1e15 to 1e17 instead of raising; the norm cap must move on to the next
+    # shift. The rotated copy also mixes that error into every eigenvector.
+    phases = np.array(phases)
+    u = np.diag(np.exp(1j * phases))
+    if rotated:
+        q = _random_unitary(len(phases), 8)
+        u = q @ u @ q.conj().T
+    eig = unitary_eig(u)
+    assert np.abs(eig.values - np.sort(phases)).max() < 1e-12
+    assert np.abs(unitary_phases(u) - np.sort(phases)).max() < 1e-12
+    assert eig.residual < 1e-10
+    assert np.abs(eig.vectors.conj().T @ eig.vectors - np.eye(len(phases))).max() < 1e-13
+
+
+def test_exactly_singular_shift_moves_on(monkeypatch):
+    # With shift 0, 1 - U has an exactly zero pivot and the inverse raises.
+    monkeypatch.setattr("echochain.linalg.CAYLEY_SHIFTS", (0.0, 2.0))
+    u = np.diag([1.0, 1j, -1.0])
+    assert np.allclose(unitary_eig(u).values, [0.0, np.pi / 2.0, np.pi], rtol=0.0, atol=1e-15)
+    assert np.allclose(unitary_phases(u), [0.0, np.pi / 2.0, np.pi], rtol=0.0, atol=1e-15)
+
+
+def test_unitary_eig_raises_when_every_shift_meets_a_phase():
+    phases = np.angle(np.exp(1j * np.array(CAYLEY_SHIFTS)))
+    u = np.diag(np.exp(1j * phases))
+    with pytest.raises(np.linalg.LinAlgError, match="Cayley shifts"):
+        unitary_eig(u)
+    with pytest.raises(np.linalg.LinAlgError, match="Cayley shifts"):
+        unitary_phases(u)
+    # One phase fewer leaves the last shift free.
+    eig = unitary_eig(np.diag(np.exp(1j * phases[:-1])))
+    assert np.abs(eig.values - np.sort(phases[:-1])).max() < 1e-12
 
 
 def test_hermitian_expm_zero_is_identity():

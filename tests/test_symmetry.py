@@ -242,7 +242,7 @@ def test_spacing_statistics_matches_per_sector_recomputation(n_qubits):
     pooled = []
     for k in used:
         basis = build_sector(n_qubits, k)
-        pooled.append(sector_spacings(unitary_eig(sector_matrix(op, basis)), basis.dim))
+        pooled.append(sector_spacings(unitary_eig(sector_matrix(op, basis)).values, basis.dim))
     expected = np.concatenate(pooled)
     assert report.spacings.shape == expected.shape
     assert np.abs(report.spacings - expected).max() < 1e-11
@@ -353,7 +353,7 @@ def test_sector_spacings_count_and_mean():
     basis = build_sector(8, 1)
     params = ChainParams(8, 0.9, 1.3, 0.0, Coupling.VJ)
     eig = unitary_eig(sector_matrix(build_floquet_pair(params).plus, basis))
-    spacings = sector_spacings(eig, basis.dim)
+    spacings = sector_spacings(eig.values, basis.dim)
     assert spacings.shape == (basis.dim,)
     assert abs(spacings.mean() - 1.0) < 1e-12
     assert spacings.min() >= 0.0

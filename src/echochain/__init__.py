@@ -2,7 +2,7 @@
 
 Evolves the fidelity amplitude f(t) between two perturbed copies of a kicked
 chain, derives non-Markovianity measures from it, measures environment-state
-localization (IPR) in translation sectors, and sweeps spin coherent initial
+localization (IPR) in symmetry-adapted blocks, and sweeps spin coherent initial
 states over the Poincare sphere.
 """
 

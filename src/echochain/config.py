@@ -74,13 +74,6 @@ class RunConfig:
             self.phi_min, self.phi_max, self.phi_step,
         )
 
-    @property
-    def resolved_ipr_basis(self) -> IprBasisChoice:
-        if self.ipr_basis is not IprBasisChoice.AUTO:
-            return self.ipr_basis
-        sector = self.coupling.translation_invariant
-        return IprBasisChoice.SECTOR_K0 if sector else IprBasisChoice.FULL
-
 
 def _parse_bool(text: str) -> bool:
     lowered = text.lower()

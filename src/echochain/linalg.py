@@ -78,6 +78,15 @@ def unitarity_defect(m: np.ndarray) -> float:
     return _max_abs(m.conj().T @ m - np.eye(m.shape[0]))
 
 
+def norm_deficit(columns: np.ndarray) -> float:
+    """Largest |1 - |column|^2| over the columns of a (d,) or (d, m) array.
+
+    For B = C^dag U C, U unitary and C orthonormal, 1 - B^dag B = G^dag G with
+    G = (1 - C C^dag) U C, whose largest entry is diagonal: B's unitarity defect.
+    """
+    return float(np.max(np.abs(1.0 - np.sum(np.abs(columns) ** 2, axis=0))))
+
+
 def _require_unitary(u: np.ndarray) -> np.ndarray:
     u = _require_square(u)
     if unitarity_defect(u) > UNITARY_TOL:

@@ -8,9 +8,9 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .chain import FloquetPair, assemble_dense, build_floquet_pair
+from .chain import build_floquet_pair
 from .coherent import CoherentSpec, build_coherent_state, enumerate_grid
-from .config import IprBasisChoice, RunConfig
+from .config import RunConfig
 from .dynamics import (
     FidelitySeries,
     asymptotic_fidelity,
@@ -20,21 +20,12 @@ from .dynamics import (
 )
 from .linalg import RngStream, unitary_eig
 from .measures import compute_report
-from .symmetry import (
-    SpectralReport,
-    build_sector,
-    ipr,
-    sector_basis_matrix,
-    sector_matrix,
-    spacing_histogram,
-    spacing_statistics,
-)
+from .symmetry import SpectralReport, ipr, orbit_blocks, spacing_histogram, spacing_statistics
 
 # Memory budget of one batch of grid points. Per period, each point holds 16 B of
 # f(t) and 32 B of the measures pass's four float temporaries; per amplitude, a few
 # state-sized columns (initial state, both trajectories, step temporaries).
 BATCH_BYTES = 64 << 20
-PROJECTION_DEFICIT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -57,59 +48,42 @@ class SweepRow:
 CSV_FIELDS = tuple(f.name for f in fields(SweepRow))
 
 
-def _k0_blocks(
-    config: RunConfig, pairs: tuple[FloquetPair, ...]
-) -> tuple[np.ndarray | None, tuple]:
-    """Where a coupling's echo evolves: (k=0 momentum-basis columns, per pair (B+, B-)).
-
-    Spin-coherent states lie in k=0, so translation-invariant pairs evolve in
-    their k=0 blocks; the other couplings get (None, (None, ...)), the gate path.
-    """
-    if not config.coupling.translation_invariant:
-        return None, (None,) * len(pairs)
-    basis = build_sector(config.n_qubits, 0)
-    blocks = tuple((sector_matrix(p.plus, basis), sector_matrix(p.minus, basis)) for p in pairs)
-    return sector_basis_matrix(basis), blocks
-
-
-def _project(projector: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Coordinates of ``states`` in the projector's columns, which must keep their norm."""
-    coords = projector.conj().T @ states
-    deficit = float(np.max(np.abs(1.0 - np.sum(np.abs(coords) ** 2, axis=0))))
-    if deficit > PROJECTION_DEFICIT_TOL:
-        raise ValueError(f"states leak out of the k=0 sector (deficit {deficit:.2e})")
-    return coords
-
-
 def _prepare_context(config: RunConfig) -> tuple:
-    """(pairs, per pair the IPR eigensystem, k=0 projector or None, per pair (B+, B-) or None)."""
+    """(pairs, per pair the IPR eigensystem, orbit basis or None, per pair (B+, B-) or None).
+
+    Grid points lie in the span of the orbit basis (``orbit_blocks``), so the
+    IPR is taken in the U+ block, whatever ``ipr_basis`` says. Translation-
+    invariant couplings also evolve there; the others keep the gate path,
+    which is cheaper than their reflection-even blocks.
+    """
     params = config.chain_params
     pairs = tuple(
         build_floquet_pair(params, RngStream(config.seed, m)) for m in range(config.gue_samples)
     )
-    projector, blocks = _k0_blocks(config, pairs)
-    if config.resolved_ipr_basis is IprBasisChoice.SECTOR_K0:
-        eigs = tuple(unitary_eig(plus) for plus, _ in blocks)
+    if config.coupling.translation_invariant:
+        basis, blocks = orbit_blocks([op for pair in pairs for op in (pair.plus, pair.minus)])
+        steps = tuple(zip(blocks[::2], blocks[1::2]))
+        plus_blocks = blocks[::2]
     else:
-        eigs = tuple(unitary_eig(assemble_dense(pair.plus)) for pair in pairs)
-    return pairs, eigs, projector, blocks
+        basis, plus_blocks = orbit_blocks([pair.plus for pair in pairs])
+        steps = (None,) * len(pairs)
+    return pairs, tuple(unitary_eig(block) for block in plus_blocks), basis, steps
 
 
 def _rows_for_batch(config: RunConfig, context: tuple, specs: list[CoherentSpec]) -> list[SweepRow]:
-    pairs, eigs, projector, pair_blocks = context
+    pairs, eigs, basis, steps = context
     psis = np.stack([build_coherent_state(spec, config.n_qubits) for spec in specs], axis=1)
-    k0 = None if projector is None else _project(projector, psis)
-    sector_ipr = config.resolved_ipr_basis is IprBasisChoice.SECTOR_K0
-    ipr_states = k0 if sector_ipr else psis
+    # ipr() refuses coordinates that lost norm, so a state leaking out of the basis is an error.
+    coords = psis if basis is None else basis.T @ psis
     per_sample = []
-    for pair, eig, blocks in zip(pairs, eigs, pair_blocks):
+    for pair, eig, blocks in zip(pairs, eigs, steps):
         series = FidelitySeries(
-            echo_overlaps(pair, psis if blocks is None else k0, config.t_cut, blocks)
+            echo_overlaps(pair, psis if blocks is None else coords, config.t_cut, blocks)
         )
         report = compute_report(series, normalize=config.normalize_by_tcut)
         tail = asymptotic_fidelity(series, config.tail_window_fraction)
         per_sample.append((
-            ipr(ipr_states, eig),
+            ipr(coords, eig),
             report.blp, report.rhp, report.nd_max, report.nd_avg, report.ng_max, report.ng_avg,
             tail.mean_F2, tail.mean_F, report.clamp_events,
         ))
@@ -170,11 +144,12 @@ def write_spacing_histogram(report: SpectralReport, path: str) -> None:
 def run_series(config: RunConfig, spec: CoherentSpec) -> FidelitySeries:
     """f(t), t = 0..t_cut, of one coherent state, evolved as in a sweep."""
     pair = build_floquet_pair(config.chain_params, RngStream(config.seed, 0))
-    projector, (blocks,) = _k0_blocks(config, (pair,))
     psi = build_coherent_state(spec, config.n_qubits)
-    if projector is not None:
-        psi = _project(projector, psi)
-    return fidelity_series(pair, psi, config.t_cut, blocks)
+    if not config.coupling.translation_invariant:
+        return fidelity_series(pair, psi, config.t_cut)
+    # fidelity_series refuses coordinates that lost norm: a state leaking out of the basis.
+    basis, blocks = orbit_blocks((pair.plus, pair.minus))
+    return fidelity_series(pair, basis.T @ psi, config.t_cut, blocks)
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,21 @@
-"""Translation sectors, IPR, eigenphase spacing statistics, and the Brody fit."""
+"""Symmetry-adapted blocks, IPR, eigenphase spacing statistics, and the Brody fit."""
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .chain import FloquetOperator, apply_floquet
-from .linalg import EigenSystem, unitarity_defect, unitary_phases
+from .chain import DENSE_DIM_CAP, FloquetOperator, apply_floquet, assemble_dense
+from .linalg import EigenSystem, norm_deficit, unitary_phases
 
 SECTOR_UNITARY_TOL = 1e-9
-IPR_PROJECTION_TOL = 1e-8
+PROJECTION_DEFICIT_TOL = 1e-10
+DEGENERATE_WEIGHT_TOL = 1e-8
 DEGENERACY_GAP = 1e-10
 MIN_BRODY_SPACINGS = 50
 
@@ -116,13 +118,70 @@ def sector_matrix(
     images = images[rows[:, :, np.newaxis], columns]  # [j, r', r] = <T^j r'|U|r>
     phases = np.exp(2j * np.pi * basis.k * np.arange(n) / n)
     block = np.sqrt(np.outer(periods, periods)) / n * np.tensordot(phases, images, axes=1)
-    defect = unitarity_defect(block)
+    _require_no_leak(block, f"sector k={basis.k} block")
+    return block
+
+
+def _require_no_leak(block: np.ndarray, name: str) -> None:
+    """A compression of a unitary is unitary iff no column lost norm (``norm_deficit``)."""
+    defect = norm_deficit(block)
     if defect > SECTOR_UNITARY_TOL:
         raise SymmetryViolationError(
-            f"sector k={basis.k} block is not unitary (defect {defect:.2e}); "
-            "the operator breaks translation symmetry"
+            f"{name} is not unitary (defect {defect:.2e}); the operator leaks out of it"
         )
-    return block
+
+
+def _site_symmetries(ops: Sequence[FloquetOperator]) -> np.ndarray:
+    """Rows p (site i -> p[i]) of the dihedral group that keep every op's kicks and bonds.
+
+    p carries bond i, joining sites i and i+1, to the bond joining p[i] and
+    p[i+1]. A dense factor keeps only the identity.
+    """
+    n = ops[0].n_qubits
+    sites = np.arange(n)
+    if any(op.dense_factor is not None for op in ops):
+        return sites[np.newaxis]
+    perms = np.array([(sign * sites + shift) % n for sign in (1, -1) for shift in range(n)])
+    following = np.roll(perms, -1, axis=1)
+    bonds = np.where((following - perms) % n == 1, perms, following)
+    keep = np.ones(len(perms), dtype=bool)
+    for op in ops:
+        kicks, strengths = np.array(op.kick_fields), np.array(op.bond_strengths)
+        keep &= np.all(kicks[perms] == kicks, axis=(1, 2))
+        keep &= np.all(strengths[bonds] == strengths, axis=1)
+    return perms[keep]
+
+
+def orbit_blocks(
+    ops: Sequence[FloquetOperator],
+) -> tuple[np.ndarray | None, tuple[np.ndarray, ...]]:
+    """(C, C^T U C for each U in ``ops``), C real with one column per orbit of basis states.
+
+    The orbits are those of the site permutations that leave all of ``ops``
+    unchanged (``_site_symmetries``): translations and reflections for a
+    uniform chain, the reflection fixing a perturbed site or bond, only the
+    identity with a dense factor. A column is its orbit's indicator over
+    sqrt(orbit size), in the order of the orbits' smallest members; every
+    product of identical qubit states lies in their span. Each block comes
+    from one apply of its operator to C and must come out unitary. More than
+    DENSE_DIM_CAP orbits are refused before any apply. When every orbit is a
+    single state, C is None and the blocks are the dense operators.
+    """
+    group = _site_symmetries(ops)
+    index = np.arange(ops[0].dim)
+    bits = (index[:, np.newaxis] >> np.arange(ops[0].n_qubits)) & 1
+    images = bits @ (1 << group.T)  # [b, g]: basis state b with its sites permuted by g
+    _, orbit, sizes = np.unique(images.min(axis=1), return_inverse=True, return_counts=True)
+    if len(sizes) > DENSE_DIM_CAP:
+        raise ValueError(f"dense assembly refused beyond dimension {DENSE_DIM_CAP}")
+    if len(sizes) == len(index):
+        return None, tuple(assemble_dense(op) for op in ops)
+    basis = np.zeros((len(index), len(sizes)))
+    basis[index, orbit] = 1.0 / np.sqrt(sizes[orbit])
+    blocks = tuple(basis.T @ apply_floquet(op, basis) for op in ops)
+    for block in blocks:
+        _require_no_leak(block, "orbit block")
+    return basis, blocks
 
 
 def ipr(states: np.ndarray, eig: EigenSystem) -> float | np.ndarray:
@@ -134,10 +193,11 @@ def ipr(states: np.ndarray, eig: EigenSystem) -> float | np.ndarray:
     states = np.asarray(states, dtype=np.complex128)
     if states.ndim not in (1, 2) or states.shape[0] != eig.vectors.shape[0]:
         raise ValueError("state dimension does not match eigenbasis")
-    weights = np.abs(eig.vectors.conj().T @ states) ** 2
-    deficit = float(np.max(np.abs(1.0 - np.sum(weights, axis=0))))
-    if deficit > IPR_PROJECTION_TOL:
+    amplitudes = eig.vectors.conj().T @ states
+    deficit = norm_deficit(amplitudes)
+    if deficit > PROJECTION_DEFICIT_TOL:
         raise ValueError(f"state lies outside the eigenbasis span (deficit {deficit:.2e})")
+    weights = np.abs(amplitudes) ** 2
     if _weight_on_degenerate_group(weights, eig.values):
         warnings.warn(
             "state has weight on (near-)degenerate eigenvectors; IPR is basis dependent there",
@@ -153,7 +213,7 @@ def circular_gaps(phases: np.ndarray) -> np.ndarray:
 
 
 def _weight_on_degenerate_group(weights: np.ndarray, phases: np.ndarray) -> bool:
-    """Whether a column weighs above IPR_PROJECTION_TOL on two vectors of one degenerate group.
+    """Whether a column weighs above DEGENERATE_WEIGHT_TOL on two vectors of one degenerate group.
 
     A group is a run of eigenphases chained by gaps below DEGENERACY_GAP
     (circularly). Only there do the eigenvectors, and with them the IPR,
@@ -166,7 +226,7 @@ def _weight_on_degenerate_group(weights: np.ndarray, phases: np.ndarray) -> bool
     counts = np.zeros((group[-1] + 1,) + weights.shape[1:], dtype=np.int64)
     if gaps[-1] < DEGENERACY_GAP:
         group[group == group[-1]] = 0  # the last group wraps around onto the first
-    np.add.at(counts, group, weights > IPR_PROJECTION_TOL)
+    np.add.at(counts, group, weights > DEGENERATE_WEIGHT_TOL)
     return bool(np.any(counts >= 2))
 
 

@@ -6,7 +6,7 @@ import pytest
 from echochain.chain import ChainParams, Coupling, build_floquet_pair
 from echochain.cli import main
 from echochain.linalg import unitary_eig
-from echochain.symmetry import build_sector, sector_matrix
+from echochain.symmetry import orbit_blocks
 
 SMALL = """
 n_qubits = 4
@@ -161,9 +161,9 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_exhausted_cayley_shifts_give_one_error_line(small_config, tmp_path, capsys, monkeypatch):
-    # Place every shift exactly on an eigenphase of the k=0 block the sweep diagonalises.
+    # Place every shift exactly on an eigenphase of the orbit block the sweep diagonalises.
     op = build_floquet_pair(ChainParams(4, 0.3, 1.4, 0.1, Coupling.VJ)).plus
-    phases = unitary_eig(sector_matrix(op, build_sector(4, 0))).values
+    phases = unitary_eig(orbit_blocks([op])[1][0]).values
     monkeypatch.setattr("echochain.linalg.CAYLEY_SHIFTS", tuple(phases))
     assert main(["sweep", str(small_config)]) == 1
     err = capsys.readouterr().err

@@ -111,22 +111,9 @@ def test_invalid_chain_parameters_surface_as_config_errors():
         parse_config_text(MINIMAL + "t_cut = 0\n")
 
 
-def test_auto_basis_resolution():
-    for coupling, expected in [
-        ("VJ", IprBasisChoice.SECTOR_K0),
-        ("VB", IprBasisChoice.SECTOR_K0),
-        ("V01", IprBasisChoice.FULL),
-        ("V0", IprBasisChoice.FULL),
-    ]:
-        config = parse_config_text(MINIMAL.replace("= VJ", f"= {coupling}"))
-        assert config.resolved_ipr_basis is expected
-    vgue = parse_config_text(MINIMAL.replace("= VJ", "= VGUE"))
-    assert vgue.resolved_ipr_basis is IprBasisChoice.FULL
-
-
 def test_explicit_basis_overrides_auto():
     config = parse_config_text(MINIMAL + "ipr_basis = FULL\n")
-    assert config.resolved_ipr_basis is IprBasisChoice.FULL
+    assert config.ipr_basis is IprBasisChoice.FULL
 
 
 @pytest.mark.parametrize("coupling", ["V01", "V0", "VGUE"])
@@ -134,7 +121,7 @@ def test_sector_ipr_basis_needs_translation_invariant_coupling(coupling):
     with pytest.raises(ConfigError, match="SECTOR_K0"):
         parse_config_text(MINIMAL.replace("= VJ", f"= {coupling}") + "ipr_basis = SECTOR_K0\n")
     explicit = parse_config_text(MINIMAL.replace("= VJ", "= VB") + "ipr_basis = SECTOR_K0\n")
-    assert explicit.resolved_ipr_basis is IprBasisChoice.SECTOR_K0
+    assert explicit.ipr_basis is IprBasisChoice.SECTOR_K0
 
 
 def test_chain_params_carries_seed_only_for_vgue():

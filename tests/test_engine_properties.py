@@ -1,7 +1,8 @@
 """Property tests of the echo engines on random chains (Hypothesis).
 
-The k=0 blocks that ``run_series`` and the sweep evolve in must reproduce the
-gate path on the full state, and a batched ``echo_overlaps`` call must give
+The orbit blocks that ``run_series`` and the sweep evolve in, and the
+reflection-even blocks of the site couplings, must reproduce the gate path
+on the full state, and a batched ``echo_overlaps`` call must give
 each column what a one-column run gives.
 """
 
@@ -16,7 +17,7 @@ from echochain.coherent import CoherentSpec, build_coherent_state
 from echochain.config import RunConfig
 from echochain.dynamics import echo_overlaps, fidelity_series
 from echochain.sweep import run_series
-from echochain.symmetry import build_sector, sector_basis_matrix, sector_matrix
+from echochain.symmetry import orbit_blocks
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -32,14 +33,22 @@ specs = st.builds(
 
 
 @PROPERTY_SETTINGS
-@given(n_qubits, field, field, epsilon, st.sampled_from([Coupling.VJ, Coupling.VB]), t_cut, specs)
+@given(
+    n_qubits, field, field, epsilon,
+    st.sampled_from([Coupling.VJ, Coupling.VB, Coupling.V0, Coupling.V01]), t_cut, specs,
+)
 def test_series_in_k0_blocks_matches_gate_path(n, b_perp, b_par, eps, coupling, t, spec):
     config = RunConfig(n, b_perp, b_par, eps, coupling, t_cut=t)
-    gate = fidelity_series(build_floquet_pair(config.chain_params), build_coherent_state(spec, n), t)
+    pair = build_floquet_pair(config.chain_params)
+    psi = build_coherent_state(spec, n)
+    gate = fidelity_series(pair, psi, t)
     series = run_series(config, spec)
-    assert series.f.shape == gate.f.shape
+    basis, blocks = orbit_blocks((pair.plus, pair.minus))
+    in_block = fidelity_series(pair, basis.T @ psi, t, blocks)
+    assert series.f.shape == in_block.f.shape == gate.f.shape
     # Relative to the amplitude's scale |f(0)| = 1, as in the fixed-parameter test.
     assert np.max(np.abs(series.f - gate.f)) <= 1e-12
+    assert np.max(np.abs(in_block.f - gate.f)) <= 1e-12
 
 
 @PROPERTY_SETTINGS
@@ -52,9 +61,8 @@ def test_batched_echo_columns_match_single_runs(n, b_perp, b_par, eps, coupling,
     states = np.stack([build_coherent_state(spec, n) for spec in batch], axis=1)
     blocks = None
     if coupling.translation_invariant:
-        basis = build_sector(n, 0)
-        blocks = (sector_matrix(pair.plus, basis), sector_matrix(pair.minus, basis))
-        states = sector_basis_matrix(basis).conj().T @ states
+        basis, blocks = orbit_blocks((pair.plus, pair.minus))
+        states = basis.T @ states
     f = echo_overlaps(pair, states, t, blocks)
     for j in range(len(batch)):
         alone = echo_overlaps(pair, states[:, j], t, blocks)

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import echochain.sweep as sweep_module
-from echochain.chain import ChainParams, Coupling, build_floquet_pair
+import echochain.symmetry as symmetry_module
+from echochain.chain import ChainParams, Coupling, assemble_dense, build_floquet_pair
 from echochain.coherent import CoherentSpec, build_coherent_state
 from echochain.config import IprBasisChoice, RunConfig
 from echochain.dynamics import FidelitySeries, asymptotic_fidelity, fidelity_series, write_series
-from echochain.linalg import RngStream
+from echochain.linalg import RngStream, unitary_eig
 from echochain.measures import compute_report
-from echochain.symmetry import DEGENERACY_GAP, SpectralReport
+from echochain.symmetry import DEGENERACY_GAP, SpectralReport, circular_gaps, ipr, orbit_blocks
 from echochain.sweep import (
     CSV_FIELDS,
     SaturationRow,
@@ -26,7 +27,14 @@ from echochain.sweep import (
     write_sweep_csv,
 )
 
-from _oracles import pairwise_rise_max, rise_above_mean_max, run_based_blp, run_based_rhp
+from _oracles import (
+    dense_floquet,
+    pairwise_rise_max,
+    rise_above_mean_max,
+    run_based_blp,
+    run_based_rhp,
+    schur_eig_ref,
+)
 
 
 def _assert_measures_match_oracles(row, amplitude):
@@ -194,6 +202,67 @@ def test_full_basis_cap_enforced():
         run_sweep(config)
 
 
+def test_block_cap_refused_before_any_apply(monkeypatch):
+    # V0 at N=13: 4,160 reflection-even orbits, over the 4,096 cap.
+    calls = []
+    monkeypatch.setattr(symmetry_module, "apply_floquet", lambda *args: calls.append(args))
+    config = _config(n_qubits=13, coupling=Coupling.V0, b_perp=0.5, t_cut=5)
+    with pytest.raises(ValueError, match="dense assembly refused beyond dimension 4096"):
+        run_sweep(config)
+    assert calls == []
+
+
+@pytest.mark.parametrize("coupling", [Coupling.V0, Coupling.V01, Coupling.VGUE])
+def test_gate_path_series_builds_no_block(coupling, monkeypatch):
+    def refuse(ops):
+        raise AssertionError("series of a gate-path coupling built a block")
+
+    monkeypatch.setattr(sweep_module, "orbit_blocks", refuse)
+    config = _config(n_qubits=6, coupling=coupling, seed=2, t_cut=40)
+    run_series(config, CoherentSpec(1.0, 2.0))
+    run_saturation(config, CoherentSpec(1.0, 2.0), [20, 40])
+
+
+@pytest.mark.parametrize("coupling", [Coupling.V0, Coupling.V01])
+def test_block_ipr_matches_dense_full_ipr(coupling):
+    # The reflection-even block's eigenbasis against the Schur eigenbasis of the whole U+.
+    config = _config(n_qubits=7, coupling=coupling, b_perp=0.9, ipr_basis=IprBasisChoice.FULL)
+    op = build_floquet_pair(config.chain_params).plus
+    phases, vectors = schur_eig_ref(dense_floquet(op.kick_fields, op.bond_strengths, 7))
+    assert circular_gaps(phases).min() > 1e-6  # the dense IPR is basis independent
+    for row in run_sweep(config):
+        psi = build_coherent_state(CoherentSpec(row.theta, row.phi), 7)
+        expected = np.sum(np.abs(vectors.conj().T @ psi) ** 4)
+        assert row.ipr == pytest.approx(expected, rel=1e-10)
+
+
+def _leaky_state(n_qubits, leak):
+    """A unit state at (1.0, 2.0) that puts weight ``leak`` outside every orbit basis.
+
+    Basis states 2 and 8 share an orbit under the translations and under the
+    reflection fixing site 0, so their difference is orthogonal to every
+    state both leave unchanged.
+    """
+    outside = np.zeros(1 << n_qubits, dtype=np.complex128)
+    outside[[2, 8]] = 1.0, -1.0
+    psi = build_coherent_state(CoherentSpec(1.0, 2.0), n_qubits)
+    return np.sqrt(1.0 - leak) * psi + np.sqrt(leak / 2.0) * outside
+
+
+@pytest.mark.parametrize("coupling", [Coupling.VJ, Coupling.V0])
+def test_leaking_states_are_refused(coupling, monkeypatch):
+    # 1e-9 of the norm outside the basis: ten times the projection tolerance.
+    monkeypatch.setattr(sweep_module, "build_coherent_state", lambda spec, n: _leaky_state(n, 1e-9))
+    config = _config(coupling=coupling, t_cut=20)
+    with pytest.raises(ValueError, match="outside the eigenbasis span"):
+        run_sweep(config)
+    if coupling.translation_invariant:  # only these evolve in the block
+        with pytest.raises(ValueError, match="normalized"):
+            run_series(config, CoherentSpec(1.0, 2.0))
+        with pytest.raises(ValueError, match="normalized"):
+            run_saturation(config, CoherentSpec(1.0, 2.0), [10, 20])
+
+
 def test_run_spectral_smoke():
     config = _config(n_qubits=8, epsilon=0.0)
     report = run_spectral(config)
@@ -252,18 +321,24 @@ def test_saturation_matches_fresh_prefix_runs():
 
 
 @pytest.mark.parametrize("n_qubits", [6, 8])
-@pytest.mark.parametrize("coupling", [Coupling.VJ, Coupling.VB])
+@pytest.mark.parametrize("coupling", [Coupling.VJ, Coupling.VB, Coupling.V0, Coupling.V01])
 def test_series_and_saturation_in_k0_blocks_match_gate_path(coupling, n_qubits):
-    # VJ and VB evolve in the k=0 blocks; the gate path on the full state is the reference.
+    # VJ and VB evolve in their orbit blocks, V0 and V01 on the gate path; the
+    # gate path on the full state is the reference, also for V0's and V01's
+    # reflection-even blocks.
     config = _config(n_qubits=n_qubits, coupling=coupling, b_perp=0.9, t_cut=300)
     pair = build_floquet_pair(config.chain_params)
+    basis, blocks = orbit_blocks((pair.plus, pair.minus))
     for spec in (CoherentSpec(2.8, 4.8), CoherentSpec(1.0, 2.0)):
-        gate = fidelity_series(pair, build_coherent_state(spec, n_qubits), config.t_cut)
+        psi = build_coherent_state(spec, n_qubits)
+        gate = fidelity_series(pair, psi, config.t_cut)
         series = run_series(config, spec)
-        assert series.f.shape == gate.f.shape
+        in_block = fidelity_series(pair, basis.T @ psi, config.t_cut, blocks)
+        assert series.f.shape == in_block.f.shape == gate.f.shape
         # Relative to the amplitude's scale |f(0)| = 1: f passes near zero, where
         # an element-wise ratio measures nothing but rounding.
         assert np.max(np.abs(series.f - gate.f)) <= 1e-12
+        assert np.max(np.abs(in_block.f - gate.f)) <= 1e-12
         checkpoints = [50, 150, 300]
         rows = run_saturation(config, spec, checkpoints)
         report = compute_report(gate, checkpoints=checkpoints)
@@ -277,16 +352,17 @@ def test_full_basis_ipr_of_translation_invariant_sweep_does_not_warn():
     # The full spectrum is degenerate between sectors k and N-k, which carry
     # no weight of a coherent state, so the IPR is well defined and silent.
     config = _config(n_qubits=6, coupling=Coupling.VB, ipr_basis=IprBasisChoice.FULL, t_cut=20)
-    _, (eig,), _, _ = sweep_module._prepare_context(config)
-    phases = eig.values
-    assert np.min(np.diff(phases)) < DEGENERACY_GAP
+    full_eig = unitary_eig(assemble_dense(build_floquet_pair(config.chain_params).plus))
+    assert np.min(np.diff(full_eig.values)) < DEGENERACY_GAP
     sector = _config(n_qubits=6, coupling=Coupling.VB, t_cut=20)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = run_sweep(config)
         sector_rows = run_sweep(sector)
-    for full_row, sector_row in zip(rows, sector_rows):
+        dense = [ipr(build_coherent_state(CoherentSpec(r.theta, r.phi), 6), full_eig) for r in rows]
+    for full_row, sector_row, dense_ipr in zip(rows, sector_rows, dense):
         assert full_row.ipr == pytest.approx(sector_row.ipr, rel=1e-10)
+        assert full_row.ipr == pytest.approx(dense_ipr, rel=1e-10)
 
 
 def test_saturation_long_run_saturates_nd_max():

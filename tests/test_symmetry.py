@@ -14,8 +14,9 @@ from echochain.chain import (
     assemble_dense,
     build_floquet_pair,
 )
-from echochain.coherent import CoherentSpec, build_coherent_state
-from echochain.linalg import unitary_eig
+from echochain.coherent import CoherentSpec, build_coherent_state, enumerate_grid
+from echochain.config import RunConfig
+from echochain.linalg import norm_deficit, unitary_eig
 from echochain.symmetry import (
     DEGENERACY_GAP,
     SymmetryViolationError,
@@ -24,6 +25,7 @@ from echochain.symmetry import (
     build_sector,
     ipr,
     ks_statistic,
+    orbit_blocks,
     rotate_left,
     sector_basis_matrix,
     sector_matrix,
@@ -36,6 +38,7 @@ from _oracles import (
     brody_pdf,
     brody_sample,
     dense_floquet,
+    dense_kick_factor,
     match_phase_multisets,
     necklace_count,
     orbits_ref,
@@ -189,6 +192,59 @@ def test_site_coupling_also_breaks_translation():
     op = build_floquet_pair(params).plus
     with pytest.raises(SymmetryViolationError):
         sector_matrix(op, build_sector(4, 1))
+
+
+ORBIT_DIMS_AT_TEN = {Coupling.VJ: 78, Coupling.VB: 78, Coupling.V0: 544, Coupling.V01: 528}
+
+
+def test_dense_factor_keeps_no_symmetry():
+    # Even the identity as a dense factor on a uniform chain: no basis, the dense operator.
+    op = FloquetOperator(((0.9, 1.4),) * 8, (1.0,) * 8, np.eye(256, dtype=np.complex128))
+    basis, (block,) = orbit_blocks([op])
+    assert basis is None
+    assert np.array_equal(block, assemble_dense(op))
+
+
+@pytest.mark.parametrize("coupling", [Coupling.VJ, Coupling.VB, Coupling.V0, Coupling.V01])
+def test_orbit_basis_at_ten_qubits(coupling):
+    pair = build_floquet_pair(ChainParams(10, 1.0, 1.4, 0.1, coupling))
+    basis, _ = orbit_blocks((pair.plus, pair.minus))
+    assert basis.dtype == np.float64
+    assert basis.shape == (1024, ORBIT_DIMS_AT_TEN[coupling])
+    assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() < 1e-13
+    grid = enumerate_grid(RunConfig(10, 1.0, 1.4, 0.1, coupling).grid)
+    psis = np.stack([build_coherent_state(spec, 10) for spec in grid], axis=1)
+    assert len(grid) == 32 * 63
+    assert norm_deficit(basis.T @ psis) <= 1e-12
+
+
+@pytest.mark.parametrize("n_qubits", [2, 5, 6, 7])
+@pytest.mark.parametrize("coupling", list(Coupling))
+def test_orbit_blocks_are_exact_compressions(coupling, n_qubits):
+    pair = build_floquet_pair(ChainParams(n_qubits, 0.9, 1.3, 0.2, coupling, gue_seed=5))
+    basis, blocks = orbit_blocks((pair.plus, pair.minus))
+    for op, block in zip((pair.plus, pair.minus), blocks):
+        if op.dense_factor is None:
+            u = dense_floquet(op.kick_fields, op.bond_strengths, n_qubits)
+        else:
+            u = dense_kick_factor(op.kick_fields, n_qubits) @ op.dense_factor
+        if basis is None:  # a dense factor, or N=2 with a perturbed site or bond
+            assert np.abs(block - u).max() < 1e-13
+            continue
+        # U maps the span of the basis onto itself: U C = C B.
+        assert np.abs(u @ basis - basis @ block).max() < 1e-13
+
+
+def test_orbit_block_of_a_leaking_operator_raises(monkeypatch):
+    # V01 perturbs bond 0, which the reflection i <-> -i fixing site 0 (V0's) moves.
+    v0 = build_floquet_pair(ChainParams(8, 0.9, 1.3, 0.1, Coupling.V0)).plus
+    v01 = build_floquet_pair(ChainParams(8, 0.9, 1.3, 0.1, Coupling.V01)).plus
+    reflection = symmetry_module._site_symmetries([v0])
+    assert len(reflection) == 2
+    monkeypatch.setattr(symmetry_module, "_site_symmetries", lambda ops: reflection)
+    orbit_blocks([v0])  # V0 on its own basis: no leak
+    with pytest.raises(SymmetryViolationError, match="not unitary"):
+        orbit_blocks([v01])
 
 
 def _count_applies(monkeypatch):

@@ -21,11 +21,6 @@ class Coupling(enum.Enum):
     V0 = "V0"      # transverse kick field perturbed on qubit 0 only
     VGUE = "VGUE"  # dense random Hermitian added to the Ising half
 
-    @property
-    def translation_invariant(self) -> bool:
-        """U+ and U- commute with cyclic translation, so each momentum sector is invariant."""
-        return self in (Coupling.VJ, Coupling.VB)
-
 
 @dataclass(frozen=True)
 class ChainParams:
@@ -105,18 +100,6 @@ class FloquetOperator:
     @property
     def dim(self) -> int:
         return 1 << self.n_qubits
-
-    @property
-    def translation_invariant(self) -> bool:
-        """No dense factor and one kick and one bond on every site.
-
-        Such a U commutes with cyclic translation and with the site reflection.
-        """
-        return (
-            self.dense_factor is None
-            and len(set(self.kick_fields)) == 1
-            and len(set(self.bond_strengths)) == 1
-        )
 
     @cached_property
     def _ising_phases(self) -> np.ndarray:

@@ -61,7 +61,9 @@ class SphereGrid:
 
     @cached_property
     def phis(self) -> tuple[float, ...]:
-        return _axis_values(self.phi_min, self.phi_max, self.phi_step)
+        # Half-open at 2 pi (the same azimuth as 0), within the endpoint rule's tolerance.
+        values = _axis_values(self.phi_min, self.phi_max, self.phi_step)
+        return tuple(v for v in values if v < 2.0 * math.pi - 1e-9 * self.phi_step)
 
 
 def _axis_values(lo: float, hi: float, step: float) -> tuple[float, ...]:

@@ -8,7 +8,7 @@ from dataclasses import MISSING, dataclass, fields
 from typing import get_type_hints
 
 from .chain import ChainParams, Coupling
-from .coherent import SphereGrid
+from .coherent import SphereGrid, enumerate_grid
 
 
 class ConfigError(ValueError):
@@ -51,12 +51,13 @@ class RunConfig:
             raise ConfigError("gue_samples > 1 only makes sense with coupling VGUE")
         if not 0.0 < self.tail_window_fraction <= 1.0:
             raise ConfigError("tail_window_fraction must lie in (0, 1]")
-        if self.ipr_basis is IprBasisChoice.SECTOR_K0 and not self.coupling.translation_invariant:
+        k0_couplings = (Coupling.VJ, Coupling.VB)
+        if self.ipr_basis is IprBasisChoice.SECTOR_K0 and self.coupling not in k0_couplings:
             raise ConfigError("ipr_basis = SECTOR_K0 needs coupling VJ or VB")
         # Surface parameter errors as config errors at parse time.
         try:
             self.chain_params
-            self.grid
+            enumerate_grid(self.grid)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

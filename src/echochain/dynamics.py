@@ -42,11 +42,6 @@ class FidelitySeries:
         """F(t) = |f(t)|."""
         return np.abs(self.f)
 
-    @property
-    def fidelity(self) -> np.ndarray:
-        """|f(t)|^2."""
-        return np.abs(self.f) ** 2
-
 
 def fidelity_series(
     pair: FloquetPair, psi: np.ndarray, t_cut: int, blocks: tuple | None = None

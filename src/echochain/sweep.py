@@ -20,7 +20,14 @@ from .dynamics import (
 )
 from .linalg import RngStream, unitary_eig
 from .measures import compute_report
-from .symmetry import SpectralReport, ipr, orbit_blocks, spacing_histogram, spacing_statistics
+from .symmetry import (
+    SpectralReport,
+    ipr,
+    is_uniform,
+    orbit_blocks,
+    spacing_histogram,
+    spacing_statistics,
+)
 
 # Memory budget of one batch of grid points. Per period, each point holds 16 B of
 # f(t) and 32 B of the measures pass's four float temporaries; per amplitude, a few
@@ -52,16 +59,17 @@ def _prepare_context(config: RunConfig) -> tuple:
     """(pairs, per pair the IPR eigensystem, orbit basis or None, per pair (B+, B-) or None).
 
     Grid points lie in the span of the orbit basis (``orbit_blocks``), so the
-    IPR is taken in the U+ block, whatever ``ipr_basis`` says. Translation-
-    invariant couplings also evolve there; the others keep the gate path,
-    which is cheaper than their reflection-even blocks.
+    IPR is taken in the U+ block, whatever ``ipr_basis`` says. Operators that
+    every translation and reflection keeps (``is_uniform``) also evolve there;
+    the others keep the gate path, cheaper than their reflection-even blocks.
     """
     params = config.chain_params
     pairs = tuple(
         build_floquet_pair(params, RngStream(config.seed, m)) for m in range(config.gue_samples)
     )
-    if config.coupling.translation_invariant:
-        basis, blocks = orbit_blocks([op for pair in pairs for op in (pair.plus, pair.minus)])
+    ops = [op for pair in pairs for op in (pair.plus, pair.minus)]
+    if is_uniform(ops):
+        basis, blocks = orbit_blocks(ops)
         steps = tuple(zip(blocks[::2], blocks[1::2]))
         plus_blocks = blocks[::2]
     else:
@@ -133,7 +141,7 @@ def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
 def run_spectral(config: RunConfig) -> SpectralReport:
     """Spacing statistics and Brody fit for the U+ propagator."""
     pair = build_floquet_pair(config.chain_params, RngStream(config.seed, 0))
-    return spacing_statistics(pair.plus, config.n_qubits)
+    return spacing_statistics(pair.plus)
 
 
 def write_spacing_histogram(report: SpectralReport, path: str) -> None:
@@ -145,7 +153,7 @@ def run_series(config: RunConfig, spec: CoherentSpec) -> FidelitySeries:
     """f(t), t = 0..t_cut, of one coherent state, evolved as in a sweep."""
     pair = build_floquet_pair(config.chain_params, RngStream(config.seed, 0))
     psi = build_coherent_state(spec, config.n_qubits)
-    if not config.coupling.translation_invariant:
+    if not is_uniform((pair.plus, pair.minus)):
         return fidelity_series(pair, psi, config.t_cut)
     # fidelity_series refuses coordinates that lost norm: a state leaking out of the basis.
     basis, blocks = orbit_blocks((pair.plus, pair.minus))

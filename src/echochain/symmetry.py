@@ -21,22 +21,26 @@ MIN_BRODY_SPACINGS = 50
 
 
 class SymmetryViolationError(ValueError):
-    """The operator does not preserve the requested momentum sector."""
+    """The operator does not preserve the requested momentum sector or orbit block."""
 
 
-def rotate_left(index, n_qubits: int):
-    """Cyclic shift sending bit i to bit i+1 and the top bit to bit 0 (elementwise on arrays)."""
-    mask = (1 << n_qubits) - 1
-    return ((index << 1) | (index >> (n_qubits - 1))) & mask
+def _dihedral(n_qubits: int) -> np.ndarray:
+    """Rows p (site i -> p[i]): the N translations i -> i + j, then the N reflections i -> j - i."""
+    sites = np.arange(n_qubits)
+    shifts = sites[:, np.newaxis]
+    return np.concatenate([(shifts + sites) % n_qubits, (shifts - sites) % n_qubits])
+
+
+def _permuted_states(n_qubits: int, perms: np.ndarray) -> np.ndarray:
+    """[b, g]: basis state b with its bit i moved to bit perms[g, i]."""
+    bits = (np.arange(1 << n_qubits)[:, np.newaxis] >> np.arange(n_qubits)) & 1
+    return bits @ (1 << perms.T)
 
 
 @lru_cache(maxsize=None)
-def _rotations(n_qubits: int) -> np.ndarray:
-    """(N, 2^N) table whose row j maps every basis index b to T^j b."""
-    table = np.empty((n_qubits, 1 << n_qubits), dtype=np.int64)
-    table[0] = np.arange(1 << n_qubits)
-    for j in range(1, n_qubits):
-        table[j] = rotate_left(table[j - 1], n_qubits)
+def _translations(n_qubits: int) -> np.ndarray:
+    """(2^N, N) table whose column j maps every basis index b to T^j b (bit i to bit i+j)."""
+    table = _permuted_states(n_qubits, _dihedral(n_qubits)[:n_qubits])
     table.setflags(write=False)
     return table
 
@@ -44,10 +48,7 @@ def _rotations(n_qubits: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _orbits(n_qubits: int) -> tuple[tuple[int, int], ...]:
     # (smallest member, period) per cyclic orbit, ascending by member.
-    rot = _rotations(n_qubits)
-    reps = np.flatnonzero(rot.min(axis=0) == rot[0])
-    home = rot[1:, reps] == reps
-    periods = np.where(home.any(axis=0), home.argmax(axis=0) + 1, n_qubits)
+    reps, periods = np.unique(_translations(n_qubits).min(axis=1), return_counts=True)
     return tuple(zip(reps.tolist(), periods.tolist()))
 
 
@@ -79,13 +80,13 @@ def sector_basis_matrix(basis: SectorBasis) -> np.ndarray:
     coeff = np.exp(-2j * np.pi * basis.k * j / n) / np.sqrt(periods)
     cols = np.broadcast_to(np.arange(basis.dim), member.shape)
     b = np.zeros((1 << n, basis.dim), dtype=np.complex128)
-    b[_rotations(n)[:, reps][member], cols[member]] = coeff[member]
+    b[_translations(n)[reps].T[member], cols[member]] = coeff[member]
     return b
 
 
 def _orbit_images(op: FloquetOperator) -> np.ndarray:
     """U|r> for every orbit representative r, one column each, from one apply."""
-    if not op.translation_invariant:
+    if not is_uniform([op]):
         raise SymmetryViolationError(
             "the operator breaks translation symmetry (site-dependent kicks or bonds, "
             "or a dense factor)"
@@ -114,7 +115,7 @@ def sector_matrix(
     n = basis.n_qubits
     reps, periods = np.array(basis.orbit_reps, dtype=np.int64).T
     columns = np.searchsorted([r for r, _ in _orbits(n)], reps)
-    rows = _rotations(n)[:, reps]
+    rows = _translations(n)[reps].T
     images = images[rows[:, :, np.newaxis], columns]  # [j, r', r] = <T^j r'|U|r>
     phases = np.exp(2j * np.pi * basis.k * np.arange(n) / n)
     block = np.sqrt(np.outer(periods, periods)) / n * np.tensordot(phases, images, axes=1)
@@ -138,10 +139,9 @@ def _site_symmetries(ops: Sequence[FloquetOperator]) -> np.ndarray:
     p[i+1]. A dense factor keeps only the identity.
     """
     n = ops[0].n_qubits
-    sites = np.arange(n)
     if any(op.dense_factor is not None for op in ops):
-        return sites[np.newaxis]
-    perms = np.array([(sign * sites + shift) % n for sign in (1, -1) for shift in range(n)])
+        return np.arange(n)[np.newaxis]
+    perms = _dihedral(n)
     following = np.roll(perms, -1, axis=1)
     bonds = np.where((following - perms) % n == 1, perms, following)
     keep = np.ones(len(perms), dtype=bool)
@@ -150,6 +150,11 @@ def _site_symmetries(ops: Sequence[FloquetOperator]) -> np.ndarray:
         keep &= np.all(kicks[perms] == kicks, axis=(1, 2))
         keep &= np.all(strengths[bonds] == strengths, axis=1)
     return perms[keep]
+
+
+def is_uniform(ops: Sequence[FloquetOperator]) -> bool:
+    """Whether every translation and reflection of the chain leaves all of ``ops`` unchanged."""
+    return len(_site_symmetries(ops)) == 2 * ops[0].n_qubits
 
 
 def orbit_blocks(
@@ -167,10 +172,8 @@ def orbit_blocks(
     DENSE_DIM_CAP orbits are refused before any apply. When every orbit is a
     single state, C is None and the blocks are the dense operators.
     """
-    group = _site_symmetries(ops)
+    images = _permuted_states(ops[0].n_qubits, _site_symmetries(ops))
     index = np.arange(ops[0].dim)
-    bits = (index[:, np.newaxis] >> np.arange(ops[0].n_qubits)) & 1
-    images = bits @ (1 << group.T)  # [b, g]: basis state b with its sites permuted by g
     _, orbit, sizes = np.unique(images.min(axis=1), return_inverse=True, return_counts=True)
     if len(sizes) > DENSE_DIM_CAP:
         raise ValueError(f"dense assembly refused beyond dimension {DENSE_DIM_CAP}")
@@ -300,7 +303,7 @@ def sector_spacings(phases: np.ndarray, sector_dim: int) -> np.ndarray:
     return circular_gaps(phases) * sector_dim / (2.0 * np.pi)
 
 
-def spacing_statistics(op: FloquetOperator, n_qubits: int) -> SpectralReport:
+def spacing_statistics(op: FloquetOperator) -> SpectralReport:
     """Pooled unfolded spacings over momentum sectors, excluding k = 0 and N/2.
 
     The excluded sectors carry an extra reflection symmetry that mixes
@@ -310,15 +313,15 @@ def spacing_statistics(op: FloquetOperator, n_qubits: int) -> SpectralReport:
     1..(N-1)//2 are diagonalised and their spacings stand in for N - k as well.
     Every block is read from the same images, one apply of U.
     """
-    if op.n_qubits != n_qubits:
-        raise ValueError("operator and qubit count differ")
     images = _orbit_images(op)
+    n_qubits = op.n_qubits
     by_sector = {}
     for k in range(1, (n_qubits + 1) // 2):
         basis = build_sector(n_qubits, k)
         by_sector[k] = sector_spacings(unitary_phases(sector_matrix(op, basis, images)), basis.dim)
     used = [k for k in range(1, n_qubits) if 2 * k != n_qubits]
-    spacings = np.concatenate([by_sector[min(k, n_qubits - k)] for k in used])
+    # At N = 2 no sector is used; brody_fit then refuses the empty sample.
+    spacings = np.concatenate([np.empty(0)] + [by_sector[min(k, n_qubits - k)] for k in used])
     q, loglik = brody_fit(spacings)
     # Kolmogorov-Smirnov distances to Poisson (q = 0), Wigner (q = 1) and the fit.
     ks = [ks_statistic(spacings, lambda x, p=p: brody_cdf(x, p)) for p in (0.0, 1.0, q)]

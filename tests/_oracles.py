@@ -304,7 +304,7 @@ def sector_block_ref(u: np.ndarray, basis) -> np.ndarray:
 
 
 def translate(state: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Applies the translation operator T once: T|b> = |rotate_left(b)>."""
+    """Applies the translation operator T once: T|b> = |translation_permutation(b)>."""
     state = np.asarray(state)
     if state.shape != (1 << n_qubits,):
         raise ValueError("state dimension does not match qubit count")

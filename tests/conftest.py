@@ -24,7 +24,7 @@ def chain12_spectra():
     for b_perp in (0.1, 1.0, 1.4):
         params = ChainParams(12, b_perp, 1.4, 0.0, Coupling.VJ)
         pair = build_floquet_pair(params)
-        reports[b_perp] = spacing_statistics(pair.plus, 12)
+        reports[b_perp] = spacing_statistics(pair.plus)
     return reports
 
 

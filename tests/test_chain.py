@@ -6,11 +6,13 @@ from echochain.chain import (
     DENSE_DIM_CAP,
     ChainParams,
     Coupling,
+    FloquetOperator,
     apply_floquet,
     assemble_dense,
     build_floquet_pair,
 )
 from echochain.linalg import gue_raw, hermitian_expm, unitarity_defect
+from echochain.symmetry import is_uniform
 
 from _oracles import dense_floquet, dense_kick_factor, ising_phase_matrix
 
@@ -51,10 +53,22 @@ def test_zero_epsilon_collapses_pair(coupling):
 
 @pytest.mark.parametrize("coupling", ALL_COUPLINGS)
 def test_operator_translation_invariance_follows_coupling(coupling):
-    pair = _pair(coupling)
-    for op in (pair.plus, pair.minus):
-        assert op.translation_invariant is coupling.translation_invariant
-    assert _pair(coupling, epsilon=0.0).plus.translation_invariant
+    # is_uniform agrees with the rule it replaced: no dense factor, one kick and
+    # one bond on every site; for epsilon > 0 that is VJ and VB only.
+    for n_qubits in (2, 5, 6):
+        for epsilon in (0.0, 0.1):
+            pair = _pair(coupling, n_qubits=n_qubits, epsilon=epsilon)
+            for op in (pair.plus, pair.minus):
+                old_rule = (
+                    op.dense_factor is None
+                    and len(set(op.kick_fields)) == 1
+                    and len(set(op.bond_strengths)) == 1
+                )
+                assert is_uniform([op]) is old_rule
+                assert old_rule is (epsilon == 0.0 or coupling in (Coupling.VJ, Coupling.VB))
+            assert is_uniform((pair.plus, pair.minus)) is old_rule
+    identity = FloquetOperator(((0.9, 1.3),) * 4, (1.0,) * 4, np.eye(16, dtype=np.complex128))
+    assert not is_uniform([identity])
 
 
 def test_vj_bond_values():

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import echochain.sweep as sweep_module
 from echochain.chain import ChainParams, Coupling, build_floquet_pair
 from echochain.cli import main
 from echochain.linalg import unitary_eig
@@ -86,6 +87,50 @@ def test_spectral_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "brody_q" in out
     assert "186 spacings" in out
+
+
+def test_spectral_at_two_qubits_gives_the_brody_error(tmp_path, capsys):
+    # N = 2 has no sector besides k = 0 and N/2, so no spacings at all.
+    path = tmp_path / "spectral.cfg"
+    path.write_text(
+        "n_qubits = 2\nb_perp = 1.0\nb_par = 1.4\nepsilon = 0.0\ncoupling = VJ\n"
+        f"output_path = {tmp_path / 'hist.txt'}\n",
+        encoding="utf-8",
+    )
+    assert main(["spectral", str(path)]) == 1
+    assert capsys.readouterr().err == "error: need at least 50 spacings, got 0\n"
+    assert not (tmp_path / "hist.txt").exists()
+
+
+def test_quarter_turn_phi_axis_sweeps_eight_points(small_config, capsys):
+    text = small_config.read_text(encoding="utf-8")
+    grid = "phi_min = 0.0\nphi_max = 6.283185307179586\nphi_step = 0.7853981633974483\n"
+    text = text.replace("phi_min = 2.0\nphi_max = 2.0\n", grid)
+    small_config.write_text(text, encoding="utf-8")
+    assert main(["sweep", str(small_config)]) == 0
+    assert "wrote 8 rows" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "axis, message",
+    [
+        ("theta_max = 4.0\ntheta_step = 0.5\n", "theta 3.5 outside [0, pi]"),
+        ("theta_max = 0.5\n", "empty grid range"),
+    ],
+    ids=["theta_past_pi", "empty_theta"],
+)
+def test_bad_grid_axis_fails_before_set_up(
+    small_config, tmp_path, capsys, monkeypatch, axis, message
+):
+    def refuse(config):
+        raise AssertionError("the context was built for a config that cannot run")
+
+    monkeypatch.setattr(sweep_module, "_prepare_context", refuse)
+    text = small_config.read_text(encoding="utf-8").replace("theta_max = 1.0\n", axis)
+    small_config.write_text(text, encoding="utf-8")
+    assert main(["sweep", str(small_config)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -150,3 +150,25 @@ def test_grid_property_round_trip():
     config = parse_config_text(MINIMAL + "theta_step = 0.3\nphi_step = 0.3\n")
     assert len(config.grid.thetas) == 11
     assert len(config.grid.phis) == 21
+
+
+def test_quarter_turn_phi_axis_stops_below_two_pi():
+    config = parse_config_text(MINIMAL + "phi_step = 0.7853981633974483\n")
+    phis = config.grid.phis
+    assert len(phis) == 8
+    assert phis[-1] == pytest.approx(7.0 * math.pi / 4.0)
+    assert phis[-1] < 2.0 * math.pi
+
+
+@pytest.mark.parametrize(
+    "axis, message",
+    [
+        ("theta_max = 4.0\ntheta_step = 0.5\n", "theta 3.5 outside"),
+        ("theta_min = 2.0\ntheta_max = 1.0\n", "empty grid range"),
+        ("phi_min = -0.5\n", "phi -0.5 outside"),
+    ],
+    ids=["theta_past_pi", "empty_theta", "negative_phi"],
+)
+def test_bad_grid_axis_is_a_config_error_at_parse(axis, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(MINIMAL + axis)

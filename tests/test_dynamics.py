@@ -33,7 +33,7 @@ def test_zero_epsilon_series_is_exactly_one():
     psi = build_coherent_state(CoherentSpec(1.0, 2.0), 6)
     series = fidelity_series(pair, psi, 50)
     assert np.all(series.f == 1.0)
-    assert np.all(series.fidelity == 1.0)
+    assert np.all(np.abs(series.f) ** 2 == 1.0)
 
 
 def test_series_matches_dense_matrix_powers():

@@ -17,7 +17,7 @@ from echochain.coherent import CoherentSpec, build_coherent_state
 from echochain.config import RunConfig
 from echochain.dynamics import echo_overlaps, fidelity_series
 from echochain.sweep import run_series
-from echochain.symmetry import orbit_blocks
+from echochain.symmetry import is_uniform, orbit_blocks
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -60,7 +60,7 @@ def test_batched_echo_columns_match_single_runs(n, b_perp, b_par, eps, coupling,
     pair = build_floquet_pair(ChainParams(n, b_perp, b_par, eps, coupling, gue_seed=3))
     states = np.stack([build_coherent_state(spec, n) for spec in batch], axis=1)
     blocks = None
-    if coupling.translation_invariant:
+    if is_uniform((pair.plus, pair.minus)):
         basis, blocks = orbit_blocks((pair.plus, pair.minus))
         states = basis.T @ states
     f = echo_overlaps(pair, states, t, blocks)

@@ -13,7 +13,14 @@ from echochain.config import IprBasisChoice, RunConfig
 from echochain.dynamics import FidelitySeries, asymptotic_fidelity, fidelity_series, write_series
 from echochain.linalg import RngStream, unitary_eig
 from echochain.measures import compute_report
-from echochain.symmetry import DEGENERACY_GAP, SpectralReport, circular_gaps, ipr, orbit_blocks
+from echochain.symmetry import (
+    DEGENERACY_GAP,
+    SpectralReport,
+    circular_gaps,
+    ipr,
+    is_uniform,
+    orbit_blocks,
+)
 from echochain.sweep import (
     CSV_FIELDS,
     SaturationRow,
@@ -256,7 +263,8 @@ def test_leaking_states_are_refused(coupling, monkeypatch):
     config = _config(coupling=coupling, t_cut=20)
     with pytest.raises(ValueError, match="outside the eigenbasis span"):
         run_sweep(config)
-    if coupling.translation_invariant:  # only these evolve in the block
+    pair = build_floquet_pair(config.chain_params)
+    if is_uniform((pair.plus, pair.minus)):  # only these evolve in the block
         with pytest.raises(ValueError, match="normalized"):
             run_series(config, CoherentSpec(1.0, 2.0))
         with pytest.raises(ValueError, match="normalized"):

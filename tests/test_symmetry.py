@@ -26,7 +26,7 @@ from echochain.symmetry import (
     ipr,
     ks_statistic,
     orbit_blocks,
-    rotate_left,
+    is_uniform,
     sector_basis_matrix,
     sector_matrix,
     sector_spacings,
@@ -47,14 +47,6 @@ from _oracles import (
     translate,
     translation_permutation,
 )
-
-
-def test_rotate_left_basics():
-    # 0b0011 on 4 qubits -> 0b0110
-    assert rotate_left(0b0011, 4) == 0b0110
-    assert rotate_left(0b1000, 4) == 0b0001
-    assert rotate_left(0, 4) == 0
-    assert rotate_left(0b1111, 4) == 0b1111
 
 
 def test_translate_permutes_basis_states():
@@ -263,10 +255,10 @@ def _count_applies(monkeypatch):
 def test_spacing_statistics_refuses_symmetry_breaking_couplings(coupling, monkeypatch):
     params = ChainParams(6, 0.9, 1.3, 0.1, coupling, gue_seed=5)
     op = build_floquet_pair(params).plus
-    assert not op.translation_invariant
+    assert not is_uniform([op])
     calls = _count_applies(monkeypatch)
     with pytest.raises(SymmetryViolationError):
-        spacing_statistics(op, 6)
+        spacing_statistics(op)
     assert calls == []  # refused before any apply
 
 
@@ -274,7 +266,7 @@ def test_spacing_statistics_refuses_symmetry_breaking_couplings(coupling, monkey
 def test_spacing_statistics_applies_the_operator_once(n_qubits, monkeypatch):
     op = build_floquet_pair(ChainParams(n_qubits, 1.0, 1.4, 0.1, Coupling.VJ)).plus
     calls = _count_applies(monkeypatch)
-    spacing_statistics(op, n_qubits)
+    spacing_statistics(op)
     assert calls == [(1 << n_qubits, necklace_count(n_qubits))]  # one column per orbit
 
 
@@ -292,7 +284,7 @@ def test_spacing_statistics_matches_per_sector_recomputation(n_qubits):
     # Mirror sectors are diagonalised once; the pooled sample must equal the
     # one from diagonalising every used sector, in the same order.
     op = build_floquet_pair(ChainParams(n_qubits, 1.0, 1.4, 0.1, Coupling.VJ)).plus
-    report = spacing_statistics(op, n_qubits)
+    report = spacing_statistics(op)
     used = [k for k in range(1, n_qubits) if 2 * k != n_qubits]
     assert list(report.sectors_used) == used
     pooled = []
@@ -497,10 +489,3 @@ def test_spacing_histogram_normalization():
     assert centers[-1] == pytest.approx(4.95)
     inside = np.mean(sample < 5.0)
     assert np.sum(density) * 0.1 == pytest.approx(inside, abs=1e-12)
-
-
-def test_spacing_statistics_rejects_mismatched_size():
-    params = ChainParams(6, 0.9, 1.3, 0.0, Coupling.VJ)
-    op = build_floquet_pair(params).plus
-    with pytest.raises(ValueError):
-        spacing_statistics(op, 8)

@@ -117,15 +117,8 @@ class FloquetPair:
 
     @property
     def identical(self) -> bool:
-        """True when U+ and U- are element-wise the same operator."""
-        a, b = self.plus, self.minus
-        if a is b:
-            return True
-        if a.kick_fields != b.kick_fields or a.bond_strengths != b.bond_strengths:
-            return False
-        if (a.dense_factor is None) != (b.dense_factor is None):
-            return False
-        return a.dense_factor is None or np.array_equal(a.dense_factor, b.dense_factor)
+        """True at epsilon = 0, where ``build_floquet_pair`` makes both members one object."""
+        return self.plus is self.minus
 
 
 def build_floquet_pair(params: ChainParams, rng: RngStream | None = None) -> FloquetPair:

@@ -46,40 +46,31 @@ class FidelitySeries:
 def fidelity_series(
     pair: FloquetPair, psi: np.ndarray, t_cut: int, blocks: tuple | None = None
 ) -> FidelitySeries:
-    """Advances (U+)^t psi and (U-)^t psi one kick at a time and records overlaps.
+    """f[t] = <(U-)^t psi|(U+)^t psi>, t = 0..t_cut, for one state (d,) or each column of (d, m).
 
-    With ``blocks`` (see ``echo_overlaps``) ``psi`` is written in their coordinates.
+    ``blocks = (B+, B-)``, the matrices of U+ and U- on an invariant subspace in
+    whose coordinates ``psi`` is written, replace the gate path by one product
+    per period. Identical pair members (epsilon = 0) give f = 1 exactly.
     """
     if t_cut < 1:
         raise ValueError("t_cut must be >= 1")
     psi = np.asarray(psi, dtype=np.complex128)
-    if psi.shape != ((pair.plus.dim,) if blocks is None else blocks[0].shape[:1]):
+    if psi.ndim not in (1, 2) or len(psi) != (pair.plus.dim if blocks is None else len(blocks[0])):
         raise ValueError("state dimension does not match the propagators")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+    # Written so that a NaN norm fails as well.
+    if not np.all(np.abs(np.linalg.norm(psi, axis=0) - 1.0) <= 1e-10):
         raise ValueError("psi must be normalized")
-    return FidelitySeries(echo_overlaps(pair, psi, t_cut, blocks))
-
-
-def echo_overlaps(
-    pair: FloquetPair, states: np.ndarray, t_cut: int, blocks: tuple | None = None
-) -> np.ndarray:
-    """f[t] = <(U-)^t psi|(U+)^t psi>, t = 0..t_cut, for one state (dim,) or each column (dim, m).
-
-    ``blocks = (B+, B-)``, the matrices of U+ and U- on an invariant subspace in
-    whose coordinates ``states`` is written, replace the gate path by one product
-    per period. Identical pair members (epsilon = 0) give f = 1 exactly.
-    """
-    f = np.ones((t_cut + 1,) + states.shape[1:], dtype=np.complex128)
+    f = np.ones((t_cut + 1,) + psi.shape[1:], dtype=np.complex128)
     if pair.identical:
-        return f
+        return FidelitySeries(f)
     plus, minus = (pair.plus, pair.minus) if blocks is None else blocks
     step = apply_floquet if blocks is None else np.matmul
-    a = b = states
+    a = b = psi
     for t in range(1, t_cut + 1):
         a = step(plus, a)
         b = step(minus, b)
         f[t] = np.vecdot(b, a, axis=0)
-    return f
+    return FidelitySeries(f)
 
 
 @dataclass(frozen=True, eq=False)

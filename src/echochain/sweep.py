@@ -11,13 +11,7 @@ import numpy as np
 from .chain import build_floquet_pair
 from .coherent import CoherentSpec, build_coherent_state, enumerate_grid
 from .config import RunConfig
-from .dynamics import (
-    FidelitySeries,
-    asymptotic_fidelity,
-    echo_overlaps,
-    fidelity_series,
-    write_lines,
-)
+from .dynamics import FidelitySeries, asymptotic_fidelity, fidelity_series, write_lines
 from .linalg import RngStream, unitary_eig
 from .measures import compute_report
 from .symmetry import (
@@ -81,17 +75,16 @@ def _prepare_context(config: RunConfig) -> tuple:
 def _rows_for_batch(config: RunConfig, context: tuple, specs: list[CoherentSpec]) -> list[SweepRow]:
     pairs, eigs, basis, steps = context
     psis = np.stack([build_coherent_state(spec, config.n_qubits) for spec in specs], axis=1)
-    # ipr() refuses coordinates that lost norm, so a state leaking out of the basis is an error.
     coords = psis if basis is None else basis.T @ psis
     per_sample = []
     for pair, eig, blocks in zip(pairs, eigs, steps):
-        series = FidelitySeries(
-            echo_overlaps(pair, psis if blocks is None else coords, config.t_cut, blocks)
-        )
+        # ipr() refuses coordinates that lost norm: a leaking state fails before any period.
+        state_ipr = ipr(coords, eig)
+        series = fidelity_series(pair, psis if blocks is None else coords, config.t_cut, blocks)
         report = compute_report(series, normalize=config.normalize_by_tcut)
         tail = asymptotic_fidelity(series, config.tail_window_fraction)
         per_sample.append((
-            ipr(coords, eig),
+            state_ipr,
             report.blp, report.rhp, report.nd_max, report.nd_avg, report.ng_max, report.ng_avg,
             tail.mean_F2, tail.mean_F, report.clamp_events,
         ))
@@ -115,6 +108,8 @@ def run_sweep(config: RunConfig) -> list[SweepRow]:
     most ``BATCH_BYTES``. After every batch but the last, a progress line on
     stderr gives the time left, extrapolated from the batches so far.
     """
+    if config.t_cut < 2:
+        raise ValueError("t_cut must be >= 2 for a tail average")
     context = _prepare_context(config)
     points = enumerate_grid(config.grid)
     width = max(1, BATCH_BYTES // (16 * (3 * (config.t_cut + 1) + 4 * (1 << config.n_qubits))))
@@ -180,7 +175,7 @@ def run_saturation(
     config: RunConfig, spec: CoherentSpec, checkpoints: list[int]
 ) -> list[SaturationRow]:
     """Measures on prefixes of a single evolution, one row per cutoff time."""
-    if not checkpoints or sorted(checkpoints) != list(checkpoints) or checkpoints[0] < 1:
+    if not checkpoints or sorted(set(checkpoints)) != list(checkpoints) or checkpoints[0] < 1:
         raise ValueError("checkpoints must be ascending positive integers")
     series = run_series(replace(config, t_cut=checkpoints[-1]), spec)
     r = compute_report(series, checkpoints=checkpoints)

@@ -105,8 +105,9 @@ def sector_matrix(
     With T U = U T the block is read off the images U|r> of the orbit
     representatives: <k,r'|U|k,r> = sqrt(p_r' p_r)/N sum_j e^{2pi i k j/N} <T^j r'|U|r>.
     ``images`` are those of ``op`` from ``_orbit_images``; without them the
-    call makes its own, one apply, and keeps nothing. A non-unitary block
-    means U leaks out of the sector.
+    call makes its own, one apply, and keeps nothing. Site-dependent kicks make
+    the block lose column norm. Site-dependent bonds only rephase each U|r> (the
+    Ising phases act first), so the block stays unitary and only the guard refuses them.
     """
     if op.n_qubits != basis.n_qubits:
         raise ValueError("operator and sector qubit counts differ")

@@ -2,7 +2,7 @@
 
 The orbit blocks that ``run_series`` and the sweep evolve in, and the
 reflection-even blocks of the site couplings, must reproduce the gate path
-on the full state, and a batched ``echo_overlaps`` call must give
+on the full state, and a batched ``fidelity_series`` call must give
 each column what a one-column run gives.
 """
 
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from echochain.chain import ChainParams, Coupling, build_floquet_pair
 from echochain.coherent import CoherentSpec, build_coherent_state
 from echochain.config import RunConfig
-from echochain.dynamics import echo_overlaps, fidelity_series
+from echochain.dynamics import fidelity_series
 from echochain.sweep import run_series
 from echochain.symmetry import is_uniform, orbit_blocks
 
@@ -63,7 +63,7 @@ def test_batched_echo_columns_match_single_runs(n, b_perp, b_par, eps, coupling,
     if is_uniform((pair.plus, pair.minus)):
         basis, blocks = orbit_blocks((pair.plus, pair.minus))
         states = basis.T @ states
-    f = echo_overlaps(pair, states, t, blocks)
+    f = fidelity_series(pair, states, t, blocks).f
     for j in range(len(batch)):
-        alone = echo_overlaps(pair, states[:, j], t, blocks)
+        alone = fidelity_series(pair, states[:, j], t, blocks).f
         np.testing.assert_allclose(f[:, j], alone, rtol=1e-12, atol=0.0)

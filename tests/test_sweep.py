@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import echochain.dynamics as dynamics_module
 import echochain.sweep as sweep_module
 import echochain.symmetry as symmetry_module
 from echochain.chain import ChainParams, Coupling, assemble_dense, build_floquet_pair
@@ -219,6 +220,19 @@ def test_block_cap_refused_before_any_apply(monkeypatch):
     assert calls == []
 
 
+def test_one_period_sweep_refused_before_any_apply(monkeypatch):
+    config = _config(t_cut=1)
+    assert run_series(config, CoherentSpec(1.0, 2.0)).t_cut == 1  # a series needs no tail
+
+    def refuse(*args):
+        raise AssertionError("apply_floquet ran before the t_cut check")
+
+    monkeypatch.setattr(symmetry_module, "apply_floquet", refuse)
+    monkeypatch.setattr(dynamics_module, "apply_floquet", refuse)
+    with pytest.raises(ValueError, match="t_cut must be >= 2 for a tail average"):
+        run_sweep(config)
+
+
 @pytest.mark.parametrize("coupling", [Coupling.V0, Coupling.V01, Coupling.VGUE])
 def test_gate_path_series_builds_no_block(coupling, monkeypatch):
     def refuse(ops):
@@ -314,6 +328,8 @@ def test_saturation_checkpoint_validation():
         run_saturation(config, CoherentSpec(1.0, 1.0), [])
     with pytest.raises(ValueError):
         run_saturation(config, CoherentSpec(1.0, 1.0), [0, 5])
+    with pytest.raises(ValueError, match="ascending"):
+        run_saturation(config, CoherentSpec(1.0, 1.0), [10, 10])  # no repeated cutoff
 
 
 def test_saturation_matches_fresh_prefix_runs():

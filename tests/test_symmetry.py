@@ -239,6 +239,20 @@ def test_orbit_block_of_a_leaking_operator_raises(monkeypatch):
         orbit_blocks([v01])
 
 
+@pytest.mark.parametrize("k", range(8))
+def test_sector_norm_check_sees_kick_breaks_not_bond_breaks(k, monkeypatch):
+    # With the is_uniform guard off, a site-dependent kick (V0) makes the block
+    # lose norm; a site-dependent bond (V01) only rephases each image U|r>.
+    monkeypatch.setattr(symmetry_module, "is_uniform", lambda ops: True)
+    v0, v01 = (
+        build_floquet_pair(ChainParams(8, 0.9, 1.3, 0.1, coupling)).plus
+        for coupling in (Coupling.V0, Coupling.V01)
+    )
+    with pytest.raises(SymmetryViolationError, match="not unitary"):
+        sector_matrix(v0, build_sector(8, k))
+    assert norm_deficit(sector_matrix(v01, build_sector(8, k))) < 1e-13
+
+
 def _count_applies(monkeypatch):
     """List that records one entry per apply_floquet call made by the symmetry module."""
     calls = []

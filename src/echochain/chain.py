@@ -5,13 +5,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .linalg import RngStream, hermitian_expm, sample_gue
 
 DENSE_DIM_CAP = 4096
+# Qubits per Kronecker product of kick gates. On one BLAS thread, N = 9..16 and 1..100 columns,
+# width 4 ran 1.9-11x faster than one 2x2 pass per qubit, within 30% of the best of widths 3..8.
+KICK_CHUNK = 4
 
 
 class Coupling(enum.Enum):
@@ -79,8 +82,8 @@ class FloquetOperator:
     """One-period propagator U = (single-qubit kicks) * (Ising half).
 
     The Ising half is the diagonal phase built from ``bond_strengths``, or
-    ``dense_factor`` when present (dense couplings); the kick applies
-    exp(-i (bx sigma_x + bz sigma_z)) per qubit.
+    ``dense_factor`` when present (dense couplings); the kick gates exp(-i (bx sigma_x +
+    bz sigma_z)) apply as one Kronecker product per KICK_CHUNK consecutive qubits.
     """
 
     kick_fields: tuple[tuple[float, float], ...]
@@ -106,8 +109,11 @@ class FloquetOperator:
         return np.exp(-1j * _ising_angles(self.n_qubits, self.bond_strengths))
 
     @cached_property
-    def _kick_gates(self) -> tuple[np.ndarray, ...]:
-        return tuple(_kick_gate(bx, bz) for bx, bz in self.kick_fields)
+    def _kick_gates(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """(first qubit, Kronecker product of its gates, highest qubit leftmost) per chunk."""
+        g = [_kick_gate(bx, bz) for bx, bz in self.kick_fields]
+        chunks = range(0, len(g), KICK_CHUNK)
+        return tuple((q, reduce(np.kron, g[q : q + KICK_CHUNK][::-1])) for q in chunks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,13 +174,11 @@ def build_floquet_pair(params: ChainParams, rng: RngStream | None = None) -> Flo
 
 
 def _apply_kicks(op: FloquetOperator, v: np.ndarray) -> np.ndarray:
-    # Contract each 2x2 gate against its qubit axis; for a (dim, m) batch the
+    # Contract each chunk's gate against its qubits' axis; for a (dim, m) batch the
     # trailing columns ride along inside the reshaped last axis.
-    shape = v.shape
-    cols = 1 if v.ndim == 1 else shape[1]
-    for q, gate in enumerate(op._kick_gates):
-        arr = v.reshape(-1, 2, (1 << q) * cols)
-        v = np.matmul(gate, arr).reshape(shape)
+    shape, cols = v.shape, v.size // len(v)
+    for q, gate in op._kick_gates:
+        v = np.matmul(gate, v.reshape(-1, len(gate), (1 << q) * cols)).reshape(shape)
     return v
 
 
@@ -194,8 +198,5 @@ def assemble_dense(op: FloquetOperator) -> np.ndarray:
     """Dense matrix of the propagator; capped at dimension 4096."""
     if op.dim > DENSE_DIM_CAP:
         raise ValueError(f"dense assembly refused beyond dimension {DENSE_DIM_CAP}")
-    if op.dense_factor is not None:
-        m = np.array(op.dense_factor)
-    else:
-        m = np.diag(op._ising_phases)
+    m = np.diag(op._ising_phases) if op.dense_factor is None else np.array(op.dense_factor)
     return _apply_kicks(op, m)

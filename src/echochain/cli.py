@@ -19,8 +19,13 @@ from .sweep import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error gets the one ``error:`` line of every failure
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="echochain",
         description="Kicked-chain dephasing: fidelity dynamics, non-Markovianity "
         "measures, localization, and spectral statistics.",
@@ -100,8 +105,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _COMMANDS[args.command](args)
     except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -182,7 +182,10 @@ def orbit_blocks(
         return None, tuple(assemble_dense(op) for op in ops)
     basis = np.zeros((len(index), len(sizes)))
     basis[index, orbit] = 1.0 / np.sqrt(sizes[orbit])
-    blocks = tuple(basis.T @ apply_floquet(op, basis) for op in ops)
+    # C has one nonzero per row, so C^T (U C) sums the rows of U C over each orbit.
+    members, starts = np.argsort(orbit, kind="stable"), np.cumsum(sizes) - sizes
+    sums = (np.add.reduceat(apply_floquet(op, basis)[members], starts) for op in ops)
+    blocks = tuple((1.0 / np.sqrt(sizes))[:, np.newaxis] * s for s in sums)
     for block in blocks:
         _require_no_leak(block, "orbit block")
     return basis, blocks

@@ -27,8 +27,8 @@ def site_operator(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
     return m
 
 
-def ising_phase_matrix(bonds, n_qubits: int) -> np.ndarray:
-    """Diagonal of sum_i J_i s_i s_{i+1} phases, periodic, spin s = 1 - 2*bit."""
+def ising_phases(bonds, n_qubits: int) -> np.ndarray:
+    """The phases exp(-i sum_i J_i s_i s_{i+1}), periodic, spin s = 1 - 2*bit."""
     dim = 1 << n_qubits
     angles = np.zeros(dim)
     for b in range(dim):
@@ -36,7 +36,12 @@ def ising_phase_matrix(bonds, n_qubits: int) -> np.ndarray:
         angles[b] = sum(
             bonds[i] * spins[i] * spins[(i + 1) % n_qubits] for i in range(n_qubits)
         )
-    return np.diag(np.exp(-1j * angles))
+    return np.exp(-1j * angles)
+
+
+def ising_phase_matrix(bonds, n_qubits: int) -> np.ndarray:
+    """Diagonal matrix of ``ising_phases``."""
+    return np.diag(ising_phases(bonds, n_qubits))
 
 
 def dense_floquet(kick_fields, bonds, n_qubits: int) -> np.ndarray:
@@ -56,6 +61,27 @@ def dense_kick_factor(kick_fields, n_qubits: int) -> np.ndarray:
         h_kick += bx * site_operator(PAULI_X, qubit, n_qubits)
         h_kick += bz * site_operator(PAULI_Z, qubit, n_qubits)
     return scipy.linalg.expm(-1j * h_kick)
+
+
+def per_qubit_floquet(kick_fields, bonds, state: np.ndarray, dense_factor=None) -> np.ndarray:
+    """U |state> with one 2x2 kick pass per qubit, after the Ising phases or ``dense_factor``.
+
+    ``state`` is (dim,) or (dim, m). Each pass contracts one expm-built gate
+    against its qubit's axis, bit q of the index, with any columns riding
+    along in the trailing axis.
+    """
+    n_qubits = len(kick_fields)
+    if dense_factor is not None:
+        v = dense_factor @ state
+    else:
+        phases = ising_phases(bonds, n_qubits)
+        v = (phases if state.ndim == 1 else phases[:, np.newaxis]) * state
+    shape = v.shape
+    cols = 1 if v.ndim == 1 else shape[1]
+    for qubit, (bx, bz) in enumerate(kick_fields):
+        gate = scipy.linalg.expm(-1j * (bx * PAULI_X + bz * PAULI_Z))
+        v = np.matmul(gate, v.reshape(-1, 2, (1 << qubit) * cols)).reshape(shape)
+    return v
 
 
 def charpoly_eigenvalues(matrix: np.ndarray) -> np.ndarray:

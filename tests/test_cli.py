@@ -215,3 +215,26 @@ def test_exhausted_cayley_shifts_give_one_error_line(small_config, tmp_path, cap
     assert err.startswith(f"error: none of the {len(phases)} Cayley shifts")
     assert err.count("\n") == 1
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["series", "run.cfg", "--phi", "2.0"], "the following arguments are required: --theta"),
+        (["sweeps", "run.cfg"], "argument command: invalid choice: 'sweeps'"),
+    ],
+    ids=["missing_option", "unknown_subcommand"],
+)
+def test_usage_error_gives_one_error_line(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["series", "-h"])
+    assert exit_info.value.code == 0
+    assert "--theta" in capsys.readouterr().out

@@ -4,6 +4,10 @@ The orbit blocks that ``run_series`` and the sweep evolve in, and the
 reflection-even blocks of the site couplings, must reproduce the gate path
 on the full state, and a batched ``fidelity_series`` call must give
 each column what a one-column run gives.
+
+The chunked kick layer of ``apply_floquet`` must give what one 2x2 pass per
+qubit gives, on every chain length up to three full chunks and one more
+qubit, so every remainder of the last chunk occurs.
 """
 
 import math
@@ -12,7 +16,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echochain.chain import ChainParams, Coupling, build_floquet_pair
+from _oracles import dense_kick_factor, per_qubit_floquet
+from echochain.chain import (
+    KICK_CHUNK,
+    ChainParams,
+    Coupling,
+    FloquetOperator,
+    apply_floquet,
+    build_floquet_pair,
+)
 from echochain.coherent import CoherentSpec, build_coherent_state
 from echochain.config import RunConfig
 from echochain.dynamics import fidelity_series
@@ -30,6 +42,49 @@ specs = st.builds(
     st.floats(0.0, math.pi),
     st.floats(0.0, 2.0 * math.pi, exclude_max=True),
 )
+# One 1-D state, or that many columns.
+columns = st.one_of(st.none(), st.integers(1, 4))
+seeds = st.integers(0, 2**32 - 1)
+MAX_QUBITS = 3 * KICK_CHUNK + 1
+
+
+def _random_states(dim, cols, seed):
+    rng = np.random.default_rng(seed)
+    shape = (dim,) if cols is None else (dim, cols)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(2, MAX_QUBITS),
+    st.lists(st.tuples(field, field), min_size=MAX_QUBITS, max_size=MAX_QUBITS),
+    st.lists(st.floats(0.0, 2.0), min_size=MAX_QUBITS, max_size=MAX_QUBITS),
+    columns, seeds,
+)
+def test_apply_floquet_matches_per_qubit_kernel(n, fields, bonds, cols, seed):
+    # Every qubit gets its own kick field, so a gate placed in the wrong slot
+    # of its chunk shows.
+    op = FloquetOperator(tuple(fields[:n]), tuple(bonds[:n]))
+    states = _random_states(op.dim, cols, seed)
+    reference = per_qubit_floquet(op.kick_fields, op.bond_strengths, states)
+    assert np.max(np.abs(apply_floquet(op, states) - reference)) <= 1e-13
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 9), field, field, epsilon, columns, seeds)
+def test_vgue_apply_floquet_matches_per_qubit_kernel(n, b_perp, b_par, eps, cols, seed):
+    op = build_floquet_pair(ChainParams(n, b_perp, b_par, eps, Coupling.VGUE, gue_seed=seed)).plus
+    states = _random_states(op.dim, cols, seed)
+    reference = per_qubit_floquet(op.kick_fields, op.bond_strengths, states, op.dense_factor)
+    assert np.max(np.abs(apply_floquet(op, states) - reference)) <= 1e-13
+
+
+def test_vgue_apply_floquet_matches_dense_product_at_nine_qubits():
+    pair = build_floquet_pair(ChainParams(9, 1.0, 1.4, 0.05, Coupling.VGUE, gue_seed=73))
+    for op in (pair.plus, pair.minus):
+        dense = dense_kick_factor(op.kick_fields, 9) @ op.dense_factor
+        states = _random_states(op.dim, 3, 5)
+        assert np.max(np.abs(apply_floquet(op, states) - dense @ states)) <= 1e-13
 
 
 @PROPERTY_SETTINGS

@@ -184,7 +184,7 @@ def _apply_kicks(op: FloquetOperator, v: np.ndarray) -> np.ndarray:
 
 def apply_floquet(op: FloquetOperator, state: np.ndarray) -> np.ndarray:
     """U |state>; a (dim, m) array is treated as m independent columns."""
-    v = np.asarray(state, dtype=np.complex128)
+    v = np.asarray(state)  # as given: a real input (an orbit basis) is not copied to complex
     if v.shape[0] != op.dim or v.ndim > 2:
         raise ValueError(f"state dimension {v.shape} does not match operator dim {op.dim}")
     if op.dense_factor is not None:

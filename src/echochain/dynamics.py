@@ -12,6 +12,12 @@ import numpy as np
 from .chain import FloquetPair, apply_floquet
 
 AMPLITUDE_BOUND_TOL = 1e-10
+# Periods per time block of the matrix path, a power of two reached by doubling.
+# Measured on one BLAS thread: a VGUE N=9 series over 6,000 periods (whole command)
+# took 3.3-3.6 s at 1 period per block, 1.9-2.0 s at 8, 1.7 s at 16 and 1.6 s at 32;
+# the peak RSS of a VJ N=10 sweep (30 points, 1,200 periods) rose by 0-1% at 8,
+# by 4% at 16 and by 10% at 32.
+PERIODS_PER_BLOCK = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,8 +55,11 @@ def fidelity_series(
     """f[t] = <(U-)^t psi|(U+)^t psi>, t = 0..t_cut, for one state (d,) or each column of (d, m).
 
     ``blocks = (B+, B-)``, the matrices of U+ and U- on an invariant subspace in
-    whose coordinates ``psi`` is written, replace the gate path by one product
-    per period. Identical pair members (epsilon = 0) give f = 1 exactly.
+    whose coordinates ``psi`` is written, replace the gate path: each trajectory
+    then moves PERIODS_PER_BLOCK periods (columns U^j psi) at a time, by one
+    product with the block's power (``_time_block``). The gate path is the same
+    loop with one period per block. Identical pair members (epsilon = 0) give
+    f = 1 exactly.
     """
     if t_cut < 1:
         raise ValueError("t_cut must be >= 1")
@@ -60,17 +69,41 @@ def fidelity_series(
     # Written so that a NaN norm fails as well.
     if not np.all(np.abs(np.linalg.norm(psi, axis=0) - 1.0) <= 1e-10):
         raise ValueError("psi must be normalized")
-    f = np.ones((t_cut + 1,) + psi.shape[1:], dtype=np.complex128)
-    if pair.identical:
-        return FidelitySeries(f)
-    plus, minus = (pair.plus, pair.minus) if blocks is None else blocks
-    step = apply_floquet if blocks is None else np.matmul
-    a = b = psi
-    for t in range(1, t_cut + 1):
-        a = step(plus, a)
-        b = step(minus, b)
-        f[t] = np.vecdot(b, a, axis=0)
-    return FidelitySeries(f)
+    # Column j * m + i of a trajectory block holds state i after j periods of the block.
+    d, m = len(psi), psi.size // len(psi)
+    f = np.ones((t_cut + 1, m), dtype=np.complex128)
+    if not pair.identical:
+        v = psi.reshape(d, m)
+        if blocks is None:
+            s, step, (plus, minus) = 1, apply_floquet, (pair.plus, pair.minus)
+            a = b = v
+        else:
+            s, step = min(PERIODS_PER_BLOCK, 1 << t_cut.bit_length()), np.matmul
+            (a, plus), (b, minus) = (_time_block(u, v, s, t_cut + 1) for u in blocks)
+        # f(0) stays exactly 1.
+        f[1:s] = np.vecdot(b[:, m:], a[:, m:], axis=0).reshape(-1, m)
+        for t in range(s, t_cut + 1, s):
+            n = min(s, t_cut + 1 - t) * m
+            a = step(plus, a[:, :n])
+            b = step(minus, b[:, :n])
+            f[t : t + s] = np.vecdot(b, a, axis=0).reshape(-1, m)
+    return FidelitySeries(f.reshape((t_cut + 1,) + psi.shape[1:]))
+
+
+def _time_block(u: np.ndarray, v: np.ndarray, s: int, periods: int) -> tuple:
+    """(columns U^j v for j < min(s, periods), U^s), by doubling.
+
+    [v] becomes [v, U v], then with U^2 [v .. U^3 v], and so on; a power is
+    squared only while a later period uses the square, so with ``periods <= s``
+    the returned power is a smaller one that the caller never applies.
+    """
+    block, power, w = v, u, 1
+    while w < min(s, periods):
+        block = np.concatenate((block, power @ block[:, : (periods - w) * v.shape[1]]), axis=1)
+        w *= 2
+        if periods > w:
+            power = power @ power
+    return block, power
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,9 @@ import numpy as np
 from .chain import build_floquet_pair
 from .coherent import CoherentSpec, build_coherent_state, enumerate_grid
 from .config import RunConfig
-from .dynamics import FidelitySeries, asymptotic_fidelity, fidelity_series, write_lines
+from .dynamics import (
+    PERIODS_PER_BLOCK, FidelitySeries, asymptotic_fidelity, fidelity_series, write_lines,
+)
 from .linalg import RngStream, unitary_eig
 from .measures import compute_report
 from .symmetry import (
@@ -25,7 +27,8 @@ from .symmetry import (
 
 # Memory budget of one batch of grid points. Per period, each point holds 16 B of
 # f(t) and 32 B of the measures pass's four float temporaries; per amplitude, a few
-# state-sized columns (initial state, both trajectories, step temporaries).
+# state-sized columns (initial state, both trajectories, step temporaries); in
+# blocks, both trajectories' PERIODS_PER_BLOCK columns of the block dimension.
 BATCH_BYTES = 64 << 20
 
 
@@ -53,16 +56,15 @@ def _prepare_context(config: RunConfig) -> tuple:
     """(pairs, per pair the IPR eigensystem, orbit basis or None, per pair (B+, B-) or None).
 
     Grid points lie in the span of the orbit basis (``orbit_blocks``), so the
-    IPR is taken in the U+ block, whatever ``ipr_basis`` says. Operators that
-    every translation and reflection keeps (``is_uniform``) also evolve there;
-    the others keep the gate path, cheaper than their reflection-even blocks.
+    IPR is taken in the U+ block, whatever ``ipr_basis`` says. The pairs evolve
+    in the blocks too when ``_steps_in_blocks`` says so.
     """
     params = config.chain_params
     pairs = tuple(
         build_floquet_pair(params, RngStream(config.seed, m)) for m in range(config.gue_samples)
     )
     ops = [op for pair in pairs for op in (pair.plus, pair.minus)]
-    if is_uniform(ops):
+    if _steps_in_blocks(ops):
         basis, blocks = orbit_blocks(ops)
         steps = tuple(zip(blocks[::2], blocks[1::2]))
         plus_blocks = blocks[::2]
@@ -70,6 +72,12 @@ def _prepare_context(config: RunConfig) -> tuple:
         basis, plus_blocks = orbit_blocks([pair.plus for pair in pairs])
         steps = (None,) * len(pairs)
     return pairs, tuple(unitary_eig(block) for block in plus_blocks), basis, steps
+
+
+def _steps_in_blocks(ops) -> bool:
+    """Uniform operators step in their small orbit blocks, dense ones in their assembled
+    matrices; the others keep the gates, cheaper than their reflection-even blocks."""
+    return is_uniform(ops) or ops[0].dense_factor is not None
 
 
 def _rows_for_batch(config: RunConfig, context: tuple, specs: list[CoherentSpec]) -> list[SweepRow]:
@@ -112,7 +120,10 @@ def run_sweep(config: RunConfig) -> list[SweepRow]:
         raise ValueError("t_cut must be >= 2 for a tail average")
     context = _prepare_context(config)
     points = enumerate_grid(config.grid)
-    width = max(1, BATCH_BYTES // (16 * (3 * (config.t_cut + 1) + 4 * (1 << config.n_qubits))))
+    blocks = context[-1][0]
+    time_blocks = 0 if blocks is None else 2 * PERIODS_PER_BLOCK * len(blocks[0])
+    per_point = 3 * (config.t_cut + 1) + 4 * (1 << config.n_qubits) + time_blocks
+    width = max(1, BATCH_BYTES // (16 * per_point))
     rows: list[SweepRow] = []
     began = time.perf_counter()
     for start in range(0, len(points), width):
@@ -148,11 +159,11 @@ def run_series(config: RunConfig, spec: CoherentSpec) -> FidelitySeries:
     """f(t), t = 0..t_cut, of one coherent state, evolved as in a sweep."""
     pair = build_floquet_pair(config.chain_params, RngStream(config.seed, 0))
     psi = build_coherent_state(spec, config.n_qubits)
-    if not is_uniform((pair.plus, pair.minus)):
+    if not _steps_in_blocks((pair.plus, pair.minus)):
         return fidelity_series(pair, psi, config.t_cut)
     # fidelity_series refuses coordinates that lost norm: a state leaking out of the basis.
     basis, blocks = orbit_blocks((pair.plus, pair.minus))
-    return fidelity_series(pair, basis.T @ psi, config.t_cut, blocks)
+    return fidelity_series(pair, psi if basis is None else basis.T @ psi, config.t_cut, blocks)
 
 
 @dataclass(frozen=True)

@@ -212,3 +212,14 @@ def test_kick_ordering_is_ising_first():
     ising = ising_phase_matrix(op.bond_strengths, 3)
     assert np.abs(assemble_dense(op) - kick @ ising).max() < 1e-12
     assert np.abs(kick @ ising - ising @ kick).max() > 1e-3
+
+
+@pytest.mark.parametrize("coupling", [Coupling.V0, Coupling.VGUE])
+@pytest.mark.parametrize("shape", [(64,), (64, 5)])
+def test_apply_floquet_real_input_gives_the_complex_result(coupling, shape):
+    # A real input is multiplied as given, without a complex copy; the result must not change.
+    op = _pair(coupling, n_qubits=6).plus
+    real = np.random.default_rng(8).normal(size=shape)
+    out = apply_floquet(op, real)
+    assert out.dtype == np.complex128
+    assert np.array_equal(out, apply_floquet(op, real.astype(np.complex128)))

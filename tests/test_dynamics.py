@@ -3,9 +3,10 @@ import os
 import numpy as np
 import pytest
 
-from echochain.chain import ChainParams, Coupling, build_floquet_pair
+from echochain.chain import ChainParams, Coupling, assemble_dense, build_floquet_pair
 from echochain.coherent import CoherentSpec, build_coherent_state
 from echochain.dynamics import (
+    PERIODS_PER_BLOCK,
     AsymptoticFidelity,
     FidelitySeries,
     asymptotic_fidelity,
@@ -49,6 +50,31 @@ def test_series_matches_dense_matrix_powers():
             np.linalg.matrix_power(u_plus, t) @ psi,
         )
         assert abs(series.f[t] - expected) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    ("t_cut", "squarings"),
+    [(1, 0), (2, 1), (3, 1), (4, 2), (7, 2), (PERIODS_PER_BLOCK, 3), (50, 3)],
+)
+def test_time_block_forms_only_used_powers(t_cut, squarings):
+    # U^2, U^4, U^8 are squared only while a later period needs them, so t_cut = 1 forms none.
+    pair = build_floquet_pair(ChainParams(5, 0.9, 1.3, 0.1, Coupling.VGUE, gue_seed=4))
+    products = []
+
+    class Logged(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            plain = [x.view(np.ndarray) if isinstance(x, Logged) else x for x in inputs]
+            out = getattr(ufunc, method)(*plain, **kwargs)
+            if ufunc is not np.matmul:
+                return out
+            products.append(tuple(np.shape(x) for x in plain))
+            return out.view(Logged)
+
+    blocks = tuple(assemble_dense(op).view(Logged) for op in (pair.plus, pair.minus))
+    psi = build_coherent_state(CoherentSpec(1.0, 2.0), 5)
+    f = fidelity_series(pair, psi, t_cut, blocks).f
+    assert len(f) == t_cut + 1
+    assert products.count(((32, 32), (32, 32))) == 2 * squarings
 
 
 def test_amplitude_bounded_by_one():

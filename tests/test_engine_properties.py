@@ -8,6 +8,9 @@ each column what a one-column run gives.
 The chunked kick layer of ``apply_floquet`` must give what one 2x2 pass per
 qubit gives, on every chain length up to three full chunks and one more
 qubit, so every remainder of the last chunk occurs.
+
+The time blocks of the matrix path must give what one product per period
+gives, for series that end on either side of a block boundary.
 """
 
 import math
@@ -27,7 +30,7 @@ from echochain.chain import (
 )
 from echochain.coherent import CoherentSpec, build_coherent_state
 from echochain.config import RunConfig
-from echochain.dynamics import fidelity_series
+from echochain.dynamics import PERIODS_PER_BLOCK, fidelity_series
 from echochain.sweep import run_series
 from echochain.symmetry import is_uniform, orbit_blocks
 
@@ -46,6 +49,14 @@ specs = st.builds(
 columns = st.one_of(st.none(), st.integers(1, 4))
 seeds = st.integers(0, 2**32 - 1)
 MAX_QUBITS = 3 * KICK_CHUNK + 1
+# Series ending just before, on and after a time-block boundary, or anywhere in a later block.
+block_t_cuts = st.one_of(
+    st.sampled_from([1, PERIODS_PER_BLOCK - 1, PERIODS_PER_BLOCK, PERIODS_PER_BLOCK + 1]),
+    st.builds(
+        lambda k, r: k * PERIODS_PER_BLOCK + r,
+        st.integers(1, 12), st.integers(0, PERIODS_PER_BLOCK - 1),
+    ),
+)
 
 
 def _random_states(dim, cols, seed):
@@ -122,3 +133,29 @@ def test_batched_echo_columns_match_single_runs(n, b_perp, b_par, eps, coupling,
     for j in range(len(batch)):
         alone = fidelity_series(pair, states[:, j], t, blocks).f
         np.testing.assert_allclose(f[:, j], alone, rtol=1e-12, atol=0.0)
+
+
+def _one_period_steps(blocks, states, t_cut):
+    a = b = states
+    f = [np.ones(states.shape[1:], dtype=np.complex128)]
+    for _ in range(t_cut):
+        a, b = np.matmul(blocks[0], a), np.matmul(blocks[1], b)
+        f.append(np.vecdot(b, a, axis=0))
+    return np.array(f)
+
+
+@PROPERTY_SETTINGS
+@given(
+    n_qubits, field, field, epsilon, st.sampled_from([Coupling.VJ, Coupling.VB, Coupling.VGUE]),
+    block_t_cuts, columns, seeds,
+)
+def test_time_blocks_match_one_period_steps(n, b_perp, b_par, eps, coupling, t, cols, seed):
+    # VJ and VB step in orbit blocks, VGUE in its dense matrices.
+    pair = build_floquet_pair(ChainParams(n, b_perp, b_par, eps, coupling, gue_seed=seed))
+    _, blocks = orbit_blocks((pair.plus, pair.minus))
+    states = _random_states(len(blocks[0]), cols, seed)
+    states /= np.linalg.norm(states, axis=0)
+    f = fidelity_series(pair, states, t, blocks).f
+    reference = _one_period_steps(blocks, states, t)
+    assert f.shape == reference.shape
+    assert np.max(np.abs(f - reference)) <= 1e-12

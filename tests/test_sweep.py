@@ -233,7 +233,7 @@ def test_one_period_sweep_refused_before_any_apply(monkeypatch):
         run_sweep(config)
 
 
-@pytest.mark.parametrize("coupling", [Coupling.V0, Coupling.V01, Coupling.VGUE])
+@pytest.mark.parametrize("coupling", [Coupling.V0, Coupling.V01])
 def test_gate_path_series_builds_no_block(coupling, monkeypatch):
     def refuse(ops):
         raise AssertionError("series of a gate-path coupling built a block")
@@ -242,6 +242,25 @@ def test_gate_path_series_builds_no_block(coupling, monkeypatch):
     config = _config(n_qubits=6, coupling=coupling, seed=2, t_cut=40)
     run_series(config, CoherentSpec(1.0, 2.0))
     run_saturation(config, CoherentSpec(1.0, 2.0), [20, 40])
+
+
+def test_vgue_series_and_sweep_step_in_dense_blocks(monkeypatch):
+    calls = []
+
+    def spy(pair, psi, t_cut, blocks=None):
+        calls.append((pair, psi, t_cut, blocks, fidelity_series(pair, psi, t_cut, blocks)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(sweep_module, "fidelity_series", spy)
+    config = _config(n_qubits=6, coupling=Coupling.VGUE, seed=2, t_cut=41)
+    run_series(config, CoherentSpec(1.0, 2.0))
+    run_sweep(config)
+    assert len(calls) == 2
+    for pair, psi, t_cut, blocks, series in calls:
+        assert [block.shape for block in blocks] == [(64, 64)] * 2
+        # Without a basis the blocks act on the full states, as the gates do.
+        gate = fidelity_series(pair, psi, t_cut)
+        assert np.max(np.abs(series.f - gate.f)) <= 1e-12
 
 
 @pytest.mark.parametrize("coupling", [Coupling.V0, Coupling.V01])

@@ -118,12 +118,14 @@ class FloquetOperator:
 
 @dataclass(frozen=True, eq=False)
 class FloquetPair:
-    plus: FloquetOperator
-    minus: FloquetOperator
+    """U+ and U-: the operators, or their matrices on an invariant subspace (``orbit_blocks``)."""
+
+    plus: FloquetOperator | np.ndarray
+    minus: FloquetOperator | np.ndarray
 
     @property
     def identical(self) -> bool:
-        """True at epsilon = 0, where ``build_floquet_pair`` makes both members one object."""
+        """True at epsilon = 0: ``build_floquet_pair`` and ``orbit_blocks`` give one object."""
         return self.plus is self.minus
 
 

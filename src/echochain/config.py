@@ -45,6 +45,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.t_cut < 1:
             raise ConfigError("t_cut must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.gue_samples < 1:
             raise ConfigError("gue_samples must be >= 1")
         if self.gue_samples > 1 and self.coupling is not Coupling.VGUE:

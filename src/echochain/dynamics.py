@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import FloquetPair, apply_floquet
+from .chain import FloquetOperator, FloquetPair, apply_floquet
 
 AMPLITUDE_BOUND_TOL = 1e-10
 # Periods per time block of the matrix path, a power of two reached by doubling.
@@ -49,22 +49,20 @@ class FidelitySeries:
         return np.abs(self.f)
 
 
-def fidelity_series(
-    pair: FloquetPair, psi: np.ndarray, t_cut: int, blocks: tuple | None = None
-) -> FidelitySeries:
+def fidelity_series(pair: FloquetPair, psi: np.ndarray, t_cut: int) -> FidelitySeries:
     """f[t] = <(U-)^t psi|(U+)^t psi>, t = 0..t_cut, for one state (d,) or each column of (d, m).
 
-    ``blocks = (B+, B-)``, the matrices of U+ and U- on an invariant subspace in
-    whose coordinates ``psi`` is written, replace the gate path: each trajectory
-    then moves PERIODS_PER_BLOCK periods (columns U^j psi) at a time, by one
-    product with the block's power (``_time_block``). The gate path is the same
-    loop with one period per block. Identical pair members (epsilon = 0) give
-    f = 1 exactly.
+    Members that are matrices, U+ and U- on an invariant subspace in whose coordinates
+    ``psi`` is written, move each trajectory PERIODS_PER_BLOCK periods (columns U^j psi)
+    at a time, by one product with the matrix's power (``_time_block``). FloquetOperator
+    members step on the gates, in the same loop with one period per block. Identical
+    pair members (epsilon = 0) give f = 1 exactly.
     """
     if t_cut < 1:
         raise ValueError("t_cut must be >= 1")
     psi = np.asarray(psi, dtype=np.complex128)
-    if psi.ndim not in (1, 2) or len(psi) != (pair.plus.dim if blocks is None else len(blocks[0])):
+    on_gates = isinstance(pair.plus, FloquetOperator)
+    if psi.ndim not in (1, 2) or len(psi) != (pair.plus.dim if on_gates else len(pair.plus)):
         raise ValueError("state dimension does not match the propagators")
     # Written so that a NaN norm fails as well.
     if not np.all(np.abs(np.linalg.norm(psi, axis=0) - 1.0) <= 1e-10):
@@ -74,12 +72,10 @@ def fidelity_series(
     f = np.ones((t_cut + 1, m), dtype=np.complex128)
     if not pair.identical:
         v = psi.reshape(d, m)
-        if blocks is None:
-            s, step, (plus, minus) = 1, apply_floquet, (pair.plus, pair.minus)
-            a = b = v
-        else:
-            s, step = min(PERIODS_PER_BLOCK, 1 << t_cut.bit_length()), np.matmul
-            (a, plus), (b, minus) = (_time_block(u, v, s, t_cut + 1) for u in blocks)
+        step = apply_floquet if on_gates else np.matmul
+        s = 1 if on_gates else min(PERIODS_PER_BLOCK, 1 << t_cut.bit_length())
+        a, plus = _time_block(pair.plus, v, s, t_cut + 1)
+        b, minus = _time_block(pair.minus, v, s, t_cut + 1)
         # f(0) stays exactly 1.
         f[1:s] = np.vecdot(b[:, m:], a[:, m:], axis=0).reshape(-1, m)
         for t in range(s, t_cut + 1, s):
@@ -90,7 +86,7 @@ def fidelity_series(
     return FidelitySeries(f.reshape((t_cut + 1,) + psi.shape[1:]))
 
 
-def _time_block(u: np.ndarray, v: np.ndarray, s: int, periods: int) -> tuple:
+def _time_block(u: np.ndarray | FloquetOperator, v: np.ndarray, s: int, periods: int) -> tuple:
     """(columns U^j v for j < min(s, periods), U^s), by doubling.
 
     [v] becomes [v, U v], then with U^2 [v .. U^3 v], and so on; a power is

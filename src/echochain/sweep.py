@@ -8,7 +8,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .chain import build_floquet_pair
+from .chain import FloquetOperator, FloquetPair, build_floquet_pair
 from .coherent import CoherentSpec, build_coherent_state, enumerate_grid
 from .config import RunConfig
 from .dynamics import (
@@ -52,43 +52,44 @@ class SweepRow:
 CSV_FIELDS = tuple(f.name for f in fields(SweepRow))
 
 
-def _prepare_context(config: RunConfig) -> tuple:
-    """(pairs, per pair the IPR eigensystem, orbit basis or None, per pair (B+, B-) or None).
+def _propagators(config: RunConfig, samples: int) -> tuple:
+    """(orbit basis or None, one FloquetPair per sample), in the form the pairs step in.
 
-    Grid points lie in the span of the orbit basis (``orbit_blocks``), so the
-    IPR is taken in the U+ block, whatever ``ipr_basis`` says. The pairs evolve
-    in the blocks too when ``_steps_in_blocks`` says so.
+    Uniform operators step in orbit blocks, dense ones in assembled matrices (no basis), and
+    the operators are dropped; the others keep the gates, cheaper than reflection-even blocks.
     """
     params = config.chain_params
-    pairs = tuple(
-        build_floquet_pair(params, RngStream(config.seed, m)) for m in range(config.gue_samples)
-    )
+    pairs = tuple(build_floquet_pair(params, RngStream(config.seed, m)) for m in range(samples))
     ops = [op for pair in pairs for op in (pair.plus, pair.minus)]
-    if _steps_in_blocks(ops):
-        basis, blocks = orbit_blocks(ops)
-        steps = tuple(zip(blocks[::2], blocks[1::2]))
-        plus_blocks = blocks[::2]
-    else:
-        basis, plus_blocks = orbit_blocks([pair.plus for pair in pairs])
-        steps = (None,) * len(pairs)
-    return pairs, tuple(unitary_eig(block) for block in plus_blocks), basis, steps
+    if not (is_uniform(ops) or ops[0].dense_factor is not None):
+        return None, pairs
+    basis, blocks = orbit_blocks(ops)
+    return basis, tuple(map(FloquetPair, blocks[::2], blocks[1::2]))
 
 
-def _steps_in_blocks(ops) -> bool:
-    """Uniform operators step in their small orbit blocks, dense ones in their assembled
-    matrices; the others keep the gates, cheaper than their reflection-even blocks."""
-    return is_uniform(ops) or ops[0].dense_factor is not None
+def _prepare_context(config: RunConfig) -> tuple:
+    """(pairs from ``_propagators``, per pair the IPR eigensystem, orbit basis or None).
+
+    Grid points lie in the span of the orbit basis (``orbit_blocks``), so the IPR is
+    taken in the U+ block, whatever ``ipr_basis`` says; the gate route builds it here.
+    """
+    basis, pairs = _propagators(config, config.gue_samples)
+    plus_blocks = [pair.plus for pair in pairs]
+    if isinstance(plus_blocks[0], FloquetOperator):
+        basis, plus_blocks = orbit_blocks(plus_blocks)
+    return pairs, tuple(unitary_eig(block) for block in plus_blocks), basis
 
 
 def _rows_for_batch(config: RunConfig, context: tuple, specs: list[CoherentSpec]) -> list[SweepRow]:
-    pairs, eigs, basis, steps = context
+    pairs, eigs, basis = context
     psis = np.stack([build_coherent_state(spec, config.n_qubits) for spec in specs], axis=1)
     coords = psis if basis is None else basis.T @ psis
+    states = psis if isinstance(pairs[0].plus, FloquetOperator) else coords
     per_sample = []
-    for pair, eig, blocks in zip(pairs, eigs, steps):
+    for pair, eig in zip(pairs, eigs):
         # ipr() refuses coordinates that lost norm: a leaking state fails before any period.
         state_ipr = ipr(coords, eig)
-        series = fidelity_series(pair, psis if blocks is None else coords, config.t_cut, blocks)
+        series = fidelity_series(pair, states, config.t_cut)
         report = compute_report(series, normalize=config.normalize_by_tcut)
         tail = asymptotic_fidelity(series, config.tail_window_fraction)
         per_sample.append((
@@ -120,8 +121,8 @@ def run_sweep(config: RunConfig) -> list[SweepRow]:
         raise ValueError("t_cut must be >= 2 for a tail average")
     context = _prepare_context(config)
     points = enumerate_grid(config.grid)
-    blocks = context[-1][0]
-    time_blocks = 0 if blocks is None else 2 * PERIODS_PER_BLOCK * len(blocks[0])
+    plus = context[0][0].plus
+    time_blocks = 0 if isinstance(plus, FloquetOperator) else 2 * PERIODS_PER_BLOCK * len(plus)
     per_point = 3 * (config.t_cut + 1) + 4 * (1 << config.n_qubits) + time_blocks
     width = max(1, BATCH_BYTES // (16 * per_point))
     rows: list[SweepRow] = []
@@ -157,13 +158,10 @@ def write_spacing_histogram(report: SpectralReport, path: str) -> None:
 
 def run_series(config: RunConfig, spec: CoherentSpec) -> FidelitySeries:
     """f(t), t = 0..t_cut, of one coherent state, evolved as in a sweep."""
-    pair = build_floquet_pair(config.chain_params, RngStream(config.seed, 0))
+    basis, (pair,) = _propagators(config, 1)
     psi = build_coherent_state(spec, config.n_qubits)
-    if not _steps_in_blocks((pair.plus, pair.minus)):
-        return fidelity_series(pair, psi, config.t_cut)
     # fidelity_series refuses coordinates that lost norm: a state leaking out of the basis.
-    basis, blocks = orbit_blocks((pair.plus, pair.minus))
-    return fidelity_series(pair, psi if basis is None else basis.T @ psi, config.t_cut, blocks)
+    return fidelity_series(pair, psi if basis is None else basis.T @ psi, config.t_cut)
 
 
 @dataclass(frozen=True)

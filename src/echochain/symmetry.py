@@ -169,9 +169,10 @@ def orbit_blocks(
     identity with a dense factor. A column is its orbit's indicator over
     sqrt(orbit size), in the order of the orbits' smallest members; every
     product of identical qubit states lies in their span. Each block comes
-    from one apply of its operator to C and must come out unitary. More than
-    DENSE_DIM_CAP orbits are refused before any apply. When every orbit is a
-    single state, C is None and the blocks are the dense operators.
+    from one apply of its operator to C and must come out unitary; an operator
+    listed twice (the one object of an epsilon = 0 pair) gets one block. More
+    than DENSE_DIM_CAP orbits are refused before any apply. When every orbit is
+    a single state, C is None and the blocks are the dense operators.
     """
     images = _permuted_states(ops[0].n_qubits, _site_symmetries(ops))
     index = np.arange(ops[0].dim)
@@ -184,11 +185,12 @@ def orbit_blocks(
     basis[index, orbit] = 1.0 / np.sqrt(sizes[orbit])
     # C has one nonzero per row, so C^T (U C) sums the rows of U C over each orbit.
     members, starts = np.argsort(orbit, kind="stable"), np.cumsum(sizes) - sizes
-    sums = (np.add.reduceat(apply_floquet(op, basis)[members], starts) for op in ops)
-    blocks = tuple((1.0 / np.sqrt(sizes))[:, np.newaxis] * s for s in sums)
-    for block in blocks:
-        _require_no_leak(block, "orbit block")
-    return basis, blocks
+    blocks = dict.fromkeys(ops)  # FloquetOperator hashes by identity (eq=False)
+    for op in blocks:
+        sums = np.add.reduceat(apply_floquet(op, basis)[members], starts)
+        blocks[op] = (1.0 / np.sqrt(sizes))[:, np.newaxis] * sums
+        _require_no_leak(blocks[op], "orbit block")
+    return basis, tuple(blocks[op] for op in ops)
 
 
 def ipr(states: np.ndarray, eig: EigenSystem) -> float | np.ndarray:

@@ -88,6 +88,14 @@ def test_missing_required_keys_listed():
         parse_config_text("n_qubits = 4\nb_perp = 0.1\nepsilon = 0\ncoupling = VJ\n")
 
 
+@pytest.mark.parametrize("coupling", ["VJ", "VGUE"])
+def test_negative_seed_is_a_config_error(coupling):
+    # A VGUE draw would otherwise fail at run time without naming the key.
+    text = MINIMAL.replace("= VJ", f"= {coupling}") + "seed = -3\n"
+    with pytest.raises(ConfigError, match="^seed must be >= 0$"):
+        parse_config_text(text)
+
+
 def test_gue_samples_requires_vgue():
     with pytest.raises(ConfigError, match="gue_samples"):
         parse_config_text(MINIMAL + "gue_samples = 4\n")

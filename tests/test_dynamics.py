@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from echochain.chain import ChainParams, Coupling, assemble_dense, build_floquet_pair
+from echochain.chain import ChainParams, Coupling, FloquetPair, assemble_dense, build_floquet_pair
 from echochain.coherent import CoherentSpec, build_coherent_state
 from echochain.dynamics import (
     PERIODS_PER_BLOCK,
@@ -72,7 +72,7 @@ def test_time_block_forms_only_used_powers(t_cut, squarings):
 
     blocks = tuple(assemble_dense(op).view(Logged) for op in (pair.plus, pair.minus))
     psi = build_coherent_state(CoherentSpec(1.0, 2.0), 5)
-    f = fidelity_series(pair, psi, t_cut, blocks).f
+    f = fidelity_series(FloquetPair(*blocks), psi, t_cut).f
     assert len(f) == t_cut + 1
     assert products.count(((32, 32), (32, 32))) == 2 * squarings
 

@@ -25,6 +25,7 @@ from echochain.chain import (
     ChainParams,
     Coupling,
     FloquetOperator,
+    FloquetPair,
     apply_floquet,
     build_floquet_pair,
 )
@@ -110,7 +111,7 @@ def test_series_in_k0_blocks_matches_gate_path(n, b_perp, b_par, eps, coupling, 
     gate = fidelity_series(pair, psi, t)
     series = run_series(config, spec)
     basis, blocks = orbit_blocks((pair.plus, pair.minus))
-    in_block = fidelity_series(pair, basis.T @ psi, t, blocks)
+    in_block = fidelity_series(FloquetPair(*blocks), basis.T @ psi, t)
     assert series.f.shape == in_block.f.shape == gate.f.shape
     # Relative to the amplitude's scale |f(0)| = 1, as in the fixed-parameter test.
     assert np.max(np.abs(series.f - gate.f)) <= 1e-12
@@ -125,13 +126,12 @@ def test_series_in_k0_blocks_matches_gate_path(n, b_perp, b_par, eps, coupling, 
 def test_batched_echo_columns_match_single_runs(n, b_perp, b_par, eps, coupling, t, batch):
     pair = build_floquet_pair(ChainParams(n, b_perp, b_par, eps, coupling, gue_seed=3))
     states = np.stack([build_coherent_state(spec, n) for spec in batch], axis=1)
-    blocks = None
     if is_uniform((pair.plus, pair.minus)):
         basis, blocks = orbit_blocks((pair.plus, pair.minus))
-        states = basis.T @ states
-    f = fidelity_series(pair, states, t, blocks).f
+        pair, states = FloquetPair(*blocks), basis.T @ states
+    f = fidelity_series(pair, states, t).f
     for j in range(len(batch)):
-        alone = fidelity_series(pair, states[:, j], t, blocks).f
+        alone = fidelity_series(pair, states[:, j], t).f
         np.testing.assert_allclose(f[:, j], alone, rtol=1e-12, atol=0.0)
 
 
@@ -155,7 +155,7 @@ def test_time_blocks_match_one_period_steps(n, b_perp, b_par, eps, coupling, t, 
     _, blocks = orbit_blocks((pair.plus, pair.minus))
     states = _random_states(len(blocks[0]), cols, seed)
     states /= np.linalg.norm(states, axis=0)
-    f = fidelity_series(pair, states, t, blocks).f
+    f = fidelity_series(FloquetPair(*blocks), states, t).f
     reference = _one_period_steps(blocks, states, t)
     assert f.shape == reference.shape
     assert np.max(np.abs(f - reference)) <= 1e-12

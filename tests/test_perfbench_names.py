@@ -6,6 +6,7 @@ name it cannot find, so a rename would silently empty a per-layer metric.
 
 import importlib
 import importlib.util
+import io
 import pickle
 from pathlib import Path
 
@@ -44,3 +45,29 @@ def test_sweep_context_pickles():
         theta_min=0.5, theta_max=0.5, theta_step=1.0, phi_min=0.5, phi_max=0.5, phi_step=1.0,
     )
     assert pickle.loads(pickle.dumps(_prepare_context(config)))
+
+
+def test_vgue_sweep_context_holds_no_dense_factor():
+    # The context holds the assembled U+- that a VGUE sweep steps in, not the operators
+    # whose d x d dense factors built them. Pickling visits every object it holds.
+    from echochain.chain import Coupling, FloquetOperator
+    from echochain.config import RunConfig
+    from echochain.sweep import _prepare_context
+
+    config = RunConfig(
+        n_qubits=6, b_perp=0.9, b_par=1.4, epsilon=0.1, coupling=Coupling.VGUE, t_cut=10,
+        theta_min=0.5, theta_max=0.5, theta_step=1.0, phi_min=0.5, phi_max=0.5, phi_step=1.0,
+        seed=3, gue_samples=2,
+    )
+    held = []
+
+    class Visitor(pickle.Pickler):
+        def persistent_id(self, obj):
+            if isinstance(obj, FloquetOperator) and obj.dense_factor is not None:
+                held.append(obj)
+            return None
+
+    context = _prepare_context(config)
+    Visitor(io.BytesIO()).dump(context)
+    assert held == []
+    assert pickle.loads(pickle.dumps(context))

@@ -8,7 +8,7 @@ import pytest
 import echochain.dynamics as dynamics_module
 import echochain.sweep as sweep_module
 import echochain.symmetry as symmetry_module
-from echochain.chain import ChainParams, Coupling, assemble_dense, build_floquet_pair
+from echochain.chain import ChainParams, Coupling, FloquetPair, assemble_dense, build_floquet_pair
 from echochain.coherent import CoherentSpec, build_coherent_state
 from echochain.config import IprBasisChoice, RunConfig
 from echochain.dynamics import FidelitySeries, asymptotic_fidelity, fidelity_series, write_series
@@ -244,11 +244,29 @@ def test_gate_path_series_builds_no_block(coupling, monkeypatch):
     run_saturation(config, CoherentSpec(1.0, 2.0), [20, 40])
 
 
+@pytest.mark.parametrize("coupling", [Coupling.VJ, Coupling.V0, Coupling.VGUE])
+def test_unperturbed_series_and_sweep_stay_exactly_one(coupling, monkeypatch):
+    # epsilon = 0 makes one uniform operator: one shared block, and f = 1 with no step.
+    calls = []
+
+    def spy(pair, psi, t_cut):
+        calls.append(fidelity_series(pair, psi, t_cut))
+        return calls[-1]
+
+    monkeypatch.setattr(sweep_module, "fidelity_series", spy)
+    config = _config(n_qubits=6, coupling=coupling, epsilon=0.0, seed=2, t_cut=41)
+    run_series(config, CoherentSpec(1.0, 2.0))
+    rows = run_sweep(config)
+    assert len(calls) == 2
+    assert all(np.all(series.f == 1.0) for series in calls)
+    assert all(row.blp == 0.0 and row.f_asym == 1.0 for row in rows)
+
+
 def test_vgue_series_and_sweep_step_in_dense_blocks(monkeypatch):
     calls = []
 
-    def spy(pair, psi, t_cut, blocks=None):
-        calls.append((pair, psi, t_cut, blocks, fidelity_series(pair, psi, t_cut, blocks)))
+    def spy(pair, psi, t_cut):
+        calls.append((pair, psi, t_cut, fidelity_series(pair, psi, t_cut)))
         return calls[-1][-1]
 
     monkeypatch.setattr(sweep_module, "fidelity_series", spy)
@@ -256,10 +274,11 @@ def test_vgue_series_and_sweep_step_in_dense_blocks(monkeypatch):
     run_series(config, CoherentSpec(1.0, 2.0))
     run_sweep(config)
     assert len(calls) == 2
-    for pair, psi, t_cut, blocks, series in calls:
-        assert [block.shape for block in blocks] == [(64, 64)] * 2
+    gates = build_floquet_pair(config.chain_params, RngStream(config.seed, 0))
+    for blocks, psi, t_cut, series in calls:
+        assert [block.shape for block in (blocks.plus, blocks.minus)] == [(64, 64)] * 2
         # Without a basis the blocks act on the full states, as the gates do.
-        gate = fidelity_series(pair, psi, t_cut)
+        gate = fidelity_series(gates, psi, t_cut)
         assert np.max(np.abs(series.f - gate.f)) <= 1e-12
 
 
@@ -376,7 +395,7 @@ def test_series_and_saturation_in_k0_blocks_match_gate_path(coupling, n_qubits):
         psi = build_coherent_state(spec, n_qubits)
         gate = fidelity_series(pair, psi, config.t_cut)
         series = run_series(config, spec)
-        in_block = fidelity_series(pair, basis.T @ psi, config.t_cut, blocks)
+        in_block = fidelity_series(FloquetPair(*blocks), basis.T @ psi, config.t_cut)
         assert series.f.shape == in_block.f.shape == gate.f.shape
         # Relative to the amplitude's scale |f(0)| = 1: f passes near zero, where
         # an element-wise ratio measures nothing but rounding.

@@ -239,6 +239,15 @@ def test_orbit_block_of_a_leaking_operator_raises(monkeypatch):
         orbit_blocks([v01])
 
 
+def test_identical_operators_share_one_block(monkeypatch):
+    # At epsilon = 0 the pair is one object; its one block keeps FloquetPair.identical true.
+    op = build_floquet_pair(ChainParams(6, 0.9, 1.3, 0.0, Coupling.V0)).plus
+    calls = _count_applies(monkeypatch)
+    basis, (plus, minus) = orbit_blocks([op, op])
+    assert plus is minus
+    assert calls == [basis.shape]
+
+
 @pytest.mark.parametrize("k", range(8))
 def test_sector_norm_check_sees_kick_breaks_not_bond_breaks(k, monkeypatch):
     # With the is_uniform guard off, a site-dependent kick (V0) makes the block

@@ -81,20 +81,17 @@ def _kick_gate(bx: float, bz: float) -> np.ndarray:
 class FloquetOperator:
     """One-period propagator U = (single-qubit kicks) * (Ising half).
 
-    The Ising half is the diagonal phase built from ``bond_strengths``, or
-    ``dense_factor`` when present (dense couplings); the kick gates exp(-i (bx sigma_x +
-    bz sigma_z)) apply as one Kronecker product per KICK_CHUNK consecutive qubits.
+    The Ising half is the diagonal phase built from ``bond_strengths``; the kick
+    gates exp(-i (bx sigma_x + bz sigma_z)) apply as one Kronecker product per
+    KICK_CHUNK consecutive qubits.
     """
 
     kick_fields: tuple[tuple[float, float], ...]
     bond_strengths: tuple[float, ...]
-    dense_factor: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if len(self.bond_strengths) != len(self.kick_fields):
             raise ValueError("periodic chain needs exactly one bond per qubit")
-        if self.dense_factor is not None and self.dense_factor.shape != (self.dim, self.dim):
-            raise ValueError("dense_factor dimension mismatch")
 
     @property
     def n_qubits(self) -> int:
@@ -118,7 +115,7 @@ class FloquetOperator:
 
 @dataclass(frozen=True, eq=False)
 class FloquetPair:
-    """U+ and U-: the operators, or their matrices on an invariant subspace (``orbit_blocks``)."""
+    """U+ and U-: the operators, or matrices (VGUE's dense U+-, or blocks from ``orbit_blocks``)."""
 
     plus: FloquetOperator | np.ndarray
     minus: FloquetOperator | np.ndarray
@@ -133,8 +130,10 @@ def build_floquet_pair(params: ChainParams, rng: RngStream | None = None) -> Flo
     """Constructs U+ and U- with the perturbation placed by coupling type.
 
     ``rng`` feeds the dense random draw for VGUE; when omitted it is derived
-    from ``params.gue_seed``. At epsilon = 0 both members are the same object,
-    so downstream code can recognize the unperturbed case exactly.
+    from ``params.gue_seed``. VGUE's members are the dense matrices
+    (kicks) exp(-i (H_I +- eps V)), the form they step in. At epsilon = 0 both
+    members are the same object, so downstream code can recognize the
+    unperturbed case exactly.
     """
     n = params.n_qubits
     eps = params.epsilon
@@ -162,14 +161,22 @@ def build_floquet_pair(params: ChainParams, rng: RngStream | None = None) -> Flo
     elif c is Coupling.VGUE:
         if params.dim > DENSE_DIM_CAP:
             raise ValueError(
-                f"VGUE needs a dense {params.dim}x{params.dim} factor; refusing beyond {DENSE_DIM_CAP}"
+                f"VGUE propagators are dense: refusing dimension {params.dim} > {DENSE_DIM_CAP}"
             )
         if rng is None:
             rng = RngStream(params.gue_seed, 0)
+        # H_I +- eps V in one buffer: eps V, then its negative, with the angles on the diagonal.
         v = sample_gue(params.dim, rng)
-        h_ising = np.diag(_ising_angles(n, base_bonds)).astype(np.complex128)
-        plus = FloquetOperator(base_kick, base_bonds, hermitian_expm(h_ising + eps * v, 1.0))
-        minus = FloquetOperator(base_kick, base_bonds, hermitian_expm(h_ising - eps * v, 1.0))
+        v *= eps
+        diagonal, angles = np.diag_indices(params.dim), _ising_angles(n, base_bonds)
+        kicks = FloquetOperator(base_kick, base_bonds)
+        h = v.copy()
+        h[diagonal] += angles
+        plus = _apply_kicks(kicks, hermitian_expm(h, 1.0))
+        np.negative(v, out=h)
+        del v
+        h[diagonal] += angles
+        minus = _apply_kicks(kicks, hermitian_expm(h, 1.0))
     else:  # pragma: no cover
         raise ValueError(f"unknown coupling {c}")
     return FloquetPair(plus, minus)
@@ -189,10 +196,7 @@ def apply_floquet(op: FloquetOperator, state: np.ndarray) -> np.ndarray:
     v = np.asarray(state)  # as given: a real input (an orbit basis) is not copied to complex
     if v.shape[0] != op.dim or v.ndim > 2:
         raise ValueError(f"state dimension {v.shape} does not match operator dim {op.dim}")
-    if op.dense_factor is not None:
-        v = op.dense_factor @ v
-    else:
-        v = op._ising_phases * v if v.ndim == 1 else op._ising_phases[:, np.newaxis] * v
+    v = op._ising_phases * v if v.ndim == 1 else op._ising_phases[:, np.newaxis] * v
     return _apply_kicks(op, v)
 
 
@@ -200,5 +204,4 @@ def assemble_dense(op: FloquetOperator) -> np.ndarray:
     """Dense matrix of the propagator; capped at dimension 4096."""
     if op.dim > DENSE_DIM_CAP:
         raise ValueError(f"dense assembly refused beyond dimension {DENSE_DIM_CAP}")
-    m = np.diag(op._ising_phases) if op.dense_factor is None else np.array(op.dense_factor)
-    return _apply_kicks(op, m)
+    return _apply_kicks(op, np.diag(op._ising_phases))

@@ -150,7 +150,8 @@ def hermitian_expm(h: np.ndarray, scale: float) -> np.ndarray:
     if hermiticity_defect(h) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within 1e-10")
     values, vectors = np.linalg.eigh(h)
-    return (vectors * np.exp(-1j * scale * values)[np.newaxis, :]) @ vectors.conj().T
+    scaled = vectors * np.exp(-1j * scale * values)[np.newaxis, :]
+    return scaled @ np.conjugate(vectors, out=vectors).T
 
 
 def gue_raw(dim: int, rng: RngStream) -> np.ndarray:

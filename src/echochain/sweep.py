@@ -55,13 +55,13 @@ CSV_FIELDS = tuple(f.name for f in fields(SweepRow))
 def _propagators(config: RunConfig, samples: int) -> tuple:
     """(orbit basis or None, one FloquetPair per sample), in the form the pairs step in.
 
-    Uniform operators step in orbit blocks, dense ones in assembled matrices (no basis), and
-    the operators are dropped; the others keep the gates, cheaper than reflection-even blocks.
+    Uniform operators step in orbit blocks and are dropped; VGUE's matrices step as built
+    (no basis), and the other operators keep the gates, cheaper than reflection-even blocks.
     """
     params = config.chain_params
     pairs = tuple(build_floquet_pair(params, RngStream(config.seed, m)) for m in range(samples))
     ops = [op for pair in pairs for op in (pair.plus, pair.minus)]
-    if not (is_uniform(ops) or ops[0].dense_factor is not None):
+    if not (isinstance(ops[0], FloquetOperator) and is_uniform(ops)):
         return None, pairs
     basis, blocks = orbit_blocks(ops)
     return basis, tuple(map(FloquetPair, blocks[::2], blocks[1::2]))

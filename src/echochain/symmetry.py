@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import DENSE_DIM_CAP, FloquetOperator, apply_floquet, assemble_dense
+from .chain import DENSE_DIM_CAP, FloquetOperator, apply_floquet
 from .linalg import EigenSystem, norm_deficit, unitary_phases
 
 SECTOR_UNITARY_TOL = 1e-9
@@ -86,10 +86,10 @@ def sector_basis_matrix(basis: SectorBasis) -> np.ndarray:
 
 def _orbit_images(op: FloquetOperator) -> np.ndarray:
     """U|r> for every orbit representative r, one column each, from one apply."""
-    if not is_uniform([op]):
+    if not (isinstance(op, FloquetOperator) and is_uniform([op])):
         raise SymmetryViolationError(
             "the operator breaks translation symmetry (site-dependent kicks or bonds, "
-            "or a dense factor)"
+            "or a dense VGUE matrix)"
         )
     reps = [r for r, _ in _orbits(op.n_qubits)]
     unit = np.zeros((op.dim, len(reps)), dtype=np.complex128)
@@ -137,11 +137,9 @@ def _site_symmetries(ops: Sequence[FloquetOperator]) -> np.ndarray:
     """Rows p (site i -> p[i]) of the dihedral group that keep every op's kicks and bonds.
 
     p carries bond i, joining sites i and i+1, to the bond joining p[i] and
-    p[i+1]. A dense factor keeps only the identity.
+    p[i+1].
     """
     n = ops[0].n_qubits
-    if any(op.dense_factor is not None for op in ops):
-        return np.arange(n)[np.newaxis]
     perms = _dihedral(n)
     following = np.roll(perms, -1, axis=1)
     bonds = np.where((following - perms) % n == 1, perms, following)
@@ -158,29 +156,24 @@ def is_uniform(ops: Sequence[FloquetOperator]) -> bool:
     return len(_site_symmetries(ops)) == 2 * ops[0].n_qubits
 
 
-def orbit_blocks(
-    ops: Sequence[FloquetOperator],
-) -> tuple[np.ndarray | None, tuple[np.ndarray, ...]]:
+def orbit_blocks(ops: Sequence[FloquetOperator]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """(C, C^T U C for each U in ``ops``), C real with one column per orbit of basis states.
 
     The orbits are those of the site permutations that leave all of ``ops``
     unchanged (``_site_symmetries``): translations and reflections for a
-    uniform chain, the reflection fixing a perturbed site or bond, only the
-    identity with a dense factor. A column is its orbit's indicator over
-    sqrt(orbit size), in the order of the orbits' smallest members; every
-    product of identical qubit states lies in their span. Each block comes
-    from one apply of its operator to C and must come out unitary; an operator
-    listed twice (the one object of an epsilon = 0 pair) gets one block. More
-    than DENSE_DIM_CAP orbits are refused before any apply. When every orbit is
-    a single state, C is None and the blocks are the dense operators.
+    uniform chain, the reflection fixing a perturbed site or bond (at N = 2
+    the identity alone, so C is the identity). A column is its orbit's
+    indicator over sqrt(orbit size), in the order of the orbits' smallest
+    members; every product of identical qubit states lies in their span.
+    Each block comes from one apply of its operator to C and must come out
+    unitary; an operator listed twice (the one object of an epsilon = 0 pair)
+    gets one block. More than DENSE_DIM_CAP orbits are refused before any apply.
     """
     images = _permuted_states(ops[0].n_qubits, _site_symmetries(ops))
     index = np.arange(ops[0].dim)
     _, orbit, sizes = np.unique(images.min(axis=1), return_inverse=True, return_counts=True)
     if len(sizes) > DENSE_DIM_CAP:
         raise ValueError(f"dense assembly refused beyond dimension {DENSE_DIM_CAP}")
-    if len(sizes) == len(index):
-        return None, tuple(assemble_dense(op) for op in ops)
     basis = np.zeros((len(index), len(sizes)))
     basis[index, orbit] = 1.0 / np.sqrt(sizes[orbit])
     # C has one nonzero per row, so C^T (U C) sums the rows of U C over each orbit.

@@ -27,8 +27,8 @@ def site_operator(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
     return m
 
 
-def ising_phases(bonds, n_qubits: int) -> np.ndarray:
-    """The phases exp(-i sum_i J_i s_i s_{i+1}), periodic, spin s = 1 - 2*bit."""
+def ising_angles(bonds, n_qubits: int) -> np.ndarray:
+    """The angles sum_i J_i s_i s_{i+1}, periodic, spin s = 1 - 2*bit."""
     dim = 1 << n_qubits
     angles = np.zeros(dim)
     for b in range(dim):
@@ -36,7 +36,12 @@ def ising_phases(bonds, n_qubits: int) -> np.ndarray:
         angles[b] = sum(
             bonds[i] * spins[i] * spins[(i + 1) % n_qubits] for i in range(n_qubits)
         )
-    return np.exp(-1j * angles)
+    return angles
+
+
+def ising_phases(bonds, n_qubits: int) -> np.ndarray:
+    """The phases exp(-i sum_i J_i s_i s_{i+1}), periodic, spin s = 1 - 2*bit."""
+    return np.exp(-1j * ising_angles(bonds, n_qubits))
 
 
 def ising_phase_matrix(bonds, n_qubits: int) -> np.ndarray:
@@ -61,6 +66,28 @@ def dense_kick_factor(kick_fields, n_qubits: int) -> np.ndarray:
         h_kick += bx * site_operator(PAULI_X, qubit, n_qubits)
         h_kick += bz * site_operator(PAULI_Z, qubit, n_qubits)
     return scipy.linalg.expm(-1j * h_kick)
+
+
+def vgue_factors(params, rng=None) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i (H_I + eps V)) and exp(-i (H_I - eps V)) of a VGUE ``params``.
+
+    H_I holds the unit-bond Ising angles on its diagonal. The GUE draw V
+    (``rng``, else stream 0 of the GUE seed) and the Hermitian exponential are
+    the library's ``sample_gue`` and ``hermitian_expm``, tested on their own, so
+    that a test of the kick layer sees no rounding of a second eigensolver.
+    """
+    from echochain.linalg import RngStream, hermitian_expm, sample_gue
+
+    n = params.n_qubits
+    v = sample_gue(1 << n, rng or RngStream(params.gue_seed, 0))
+    h_ising = np.diag(ising_angles((1.0,) * n, n))
+    return tuple(hermitian_expm(h_ising + s * params.epsilon * v, 1.0) for s in (1, -1))
+
+
+def vgue_pair(params, rng=None) -> tuple[np.ndarray, np.ndarray]:
+    """Dense U+ and U- of a VGUE ``params``: ``dense_kick_factor`` times ``vgue_factors``."""
+    kick = dense_kick_factor(((params.b_perp, params.b_par),) * params.n_qubits, params.n_qubits)
+    return tuple(kick @ factor for factor in vgue_factors(params, rng))
 
 
 def per_qubit_floquet(kick_fields, bonds, state: np.ndarray, dense_factor=None) -> np.ndarray:

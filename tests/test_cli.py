@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import echochain
 import echochain.sweep as sweep_module
 from echochain.chain import ChainParams, Coupling, build_floquet_pair
 from echochain.cli import main
@@ -21,6 +24,16 @@ theta_max = 1.0
 phi_min = 2.0
 phi_max = 2.0
 """
+
+
+# Child interpreters import the package these tests import, also when only pytest's
+# `pythonpath` setting put it on the path.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(echochain.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 @pytest.fixture
@@ -102,6 +115,22 @@ def test_spectral_at_two_qubits_gives_the_brody_error(tmp_path, capsys):
     assert not (tmp_path / "hist.txt").exists()
 
 
+def test_spectral_of_vgue_gives_one_error_line(tmp_path, capsys):
+    # VGUE's U+ is a dense matrix with no translation symmetry: refused before any sector.
+    path = tmp_path / "spectral.cfg"
+    path.write_text(
+        "n_qubits = 6\nb_perp = 1.0\nb_par = 1.4\nepsilon = 0.1\ncoupling = VGUE\nseed = 3\n"
+        f"output_path = {tmp_path / 'hist.txt'}\n",
+        encoding="utf-8",
+    )
+    assert main(["spectral", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the operator breaks translation symmetry")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not (tmp_path / "hist.txt").exists()
+
+
 def test_quarter_turn_phi_axis_sweeps_eight_points(small_config, capsys):
     text = small_config.read_text(encoding="utf-8")
     grid = "phi_min = 0.0\nphi_max = 6.283185307179586\nphi_step = 0.7853981633974483\n"
@@ -154,6 +183,7 @@ def test_module_entry_point(small_config, tmp_path):
         [sys.executable, "-m", "echochain", "sweep", str(small_config)],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert result.returncode == 0
     assert "wrote 1 rows" in result.stdout
@@ -200,7 +230,9 @@ def test_memory_error_gives_one_error_line(small_config, tmp_path, capsys, monke
 
 def test_cli_import_leaves_scipy_out():
     code = "import sys, echochain.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
+    )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
 

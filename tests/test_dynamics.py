@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from echochain.chain import ChainParams, Coupling, FloquetPair, assemble_dense, build_floquet_pair
+from echochain.chain import ChainParams, Coupling, FloquetPair, build_floquet_pair
 from echochain.coherent import CoherentSpec, build_coherent_state
 from echochain.dynamics import (
     PERIODS_PER_BLOCK,
@@ -70,7 +70,7 @@ def test_time_block_forms_only_used_powers(t_cut, squarings):
             products.append(tuple(np.shape(x) for x in plain))
             return out.view(Logged)
 
-    blocks = tuple(assemble_dense(op).view(Logged) for op in (pair.plus, pair.minus))
+    blocks = tuple(u.view(Logged) for u in (pair.plus, pair.minus))
     psi = build_coherent_state(CoherentSpec(1.0, 2.0), 5)
     f = fidelity_series(FloquetPair(*blocks), psi, t_cut).f
     assert len(f) == t_cut + 1

@@ -5,9 +5,9 @@ reflection-even blocks of the site couplings, must reproduce the gate path
 on the full state, and a batched ``fidelity_series`` call must give
 each column what a one-column run gives.
 
-The chunked kick layer of ``apply_floquet`` must give what one 2x2 pass per
-qubit gives, on every chain length up to three full chunks and one more
-qubit, so every remainder of the last chunk occurs.
+The chunked kick layer of ``apply_floquet``, and of VGUE's U+- as built, must
+give what one 2x2 pass per qubit gives, on every chain length up to three full
+chunks and one more qubit, so every remainder of the last chunk occurs.
 
 The time blocks of the matrix path must give what one product per period
 gives, for series that end on either side of a block boundary.
@@ -16,10 +16,10 @@ gives, for series that end on either side of a block boundary.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import dense_kick_factor, per_qubit_floquet
+from _oracles import per_qubit_floquet, vgue_factors
 from echochain.chain import (
     KICK_CHUNK,
     ChainParams,
@@ -84,19 +84,15 @@ def test_apply_floquet_matches_per_qubit_kernel(n, fields, bonds, cols, seed):
 
 @PROPERTY_SETTINGS
 @given(st.integers(2, 9), field, field, epsilon, columns, seeds)
-def test_vgue_apply_floquet_matches_per_qubit_kernel(n, b_perp, b_par, eps, cols, seed):
-    op = build_floquet_pair(ChainParams(n, b_perp, b_par, eps, Coupling.VGUE, gue_seed=seed)).plus
-    states = _random_states(op.dim, cols, seed)
-    reference = per_qubit_floquet(op.kick_fields, op.bond_strengths, states, op.dense_factor)
-    assert np.max(np.abs(apply_floquet(op, states) - reference)) <= 1e-13
-
-
-def test_vgue_apply_floquet_matches_dense_product_at_nine_qubits():
-    pair = build_floquet_pair(ChainParams(9, 1.0, 1.4, 0.05, Coupling.VGUE, gue_seed=73))
-    for op in (pair.plus, pair.minus):
-        dense = dense_kick_factor(op.kick_fields, 9) @ op.dense_factor
-        states = _random_states(op.dim, 3, 5)
-        assert np.max(np.abs(apply_floquet(op, states) - dense @ states)) <= 1e-13
+@example(9, 1.0, 1.4, 0.05, 3, 73)  # the last chunk holds a single qubit
+def test_vgue_propagators_match_per_qubit_kernel(n, b_perp, b_par, eps, cols, seed):
+    # VGUE's U+- are the chunked kick layer applied to exp(-i (H_I +- eps V)).
+    params = ChainParams(n, b_perp, b_par, eps, Coupling.VGUE, gue_seed=seed)
+    pair = build_floquet_pair(params)
+    states = _random_states(1 << n, cols, seed)
+    for u, factor in zip((pair.plus, pair.minus), vgue_factors(params)):
+        reference = per_qubit_floquet(((b_perp, b_par),) * n, (1.0,) * n, states, factor)
+        assert np.max(np.abs(u @ states - reference)) <= 1e-13
 
 
 @PROPERTY_SETTINGS
@@ -126,7 +122,7 @@ def test_series_in_k0_blocks_matches_gate_path(n, b_perp, b_par, eps, coupling, 
 def test_batched_echo_columns_match_single_runs(n, b_perp, b_par, eps, coupling, t, batch):
     pair = build_floquet_pair(ChainParams(n, b_perp, b_par, eps, coupling, gue_seed=3))
     states = np.stack([build_coherent_state(spec, n) for spec in batch], axis=1)
-    if is_uniform((pair.plus, pair.minus)):
+    if isinstance(pair.plus, FloquetOperator) and is_uniform((pair.plus, pair.minus)):
         basis, blocks = orbit_blocks((pair.plus, pair.minus))
         pair, states = FloquetPair(*blocks), basis.T @ states
     f = fidelity_series(pair, states, t).f
@@ -152,7 +148,9 @@ def _one_period_steps(blocks, states, t_cut):
 def test_time_blocks_match_one_period_steps(n, b_perp, b_par, eps, coupling, t, cols, seed):
     # VJ and VB step in orbit blocks, VGUE in its dense matrices.
     pair = build_floquet_pair(ChainParams(n, b_perp, b_par, eps, coupling, gue_seed=seed))
-    _, blocks = orbit_blocks((pair.plus, pair.minus))
+    blocks = (pair.plus, pair.minus)
+    if coupling is not Coupling.VGUE:
+        _, blocks = orbit_blocks(blocks)
     states = _random_states(len(blocks[0]), cols, seed)
     states /= np.linalg.norm(states, axis=0)
     f = fidelity_series(FloquetPair(*blocks), states, t).f

@@ -113,7 +113,9 @@ def _full(params):
 ORACLE_MATRICES = {
     "VJ-N6-full": lambda: _full(ChainParams(6, 0.83, 1.21, 0.0, Coupling.VJ)),
     "V0-N8-full": lambda: _full(ChainParams(8, 1.0, 1.4, 0.1, Coupling.V0)),
-    "VGUE-N7-draw": lambda: _full(ChainParams(7, 1.0, 1.4, 0.1, Coupling.VGUE, gue_seed=5)),
+    "VGUE-N7-draw": lambda: build_floquet_pair(
+        ChainParams(7, 1.0, 1.4, 0.1, Coupling.VGUE, gue_seed=5)
+    ).plus,
     "VJ-N10-k1-block": lambda: sector_matrix(
         build_floquet_pair(ChainParams(10, 1.0, 1.4, 0.1, Coupling.VJ)).plus, build_sector(10, 1)
     ),

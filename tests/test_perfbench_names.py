@@ -48,8 +48,8 @@ def test_sweep_context_pickles():
 
 
 def test_vgue_sweep_context_holds_no_dense_factor():
-    # The context holds the assembled U+- that a VGUE sweep steps in, not the operators
-    # whose d x d dense factors built them. Pickling visits every object it holds.
+    # The context holds the dense U+- that a VGUE sweep steps in and no operator beside
+    # them. Pickling visits every object it holds.
     from echochain.chain import Coupling, FloquetOperator
     from echochain.config import RunConfig
     from echochain.sweep import _prepare_context
@@ -63,7 +63,7 @@ def test_vgue_sweep_context_holds_no_dense_factor():
 
     class Visitor(pickle.Pickler):
         def persistent_id(self, obj):
-            if isinstance(obj, FloquetOperator) and obj.dense_factor is not None:
+            if isinstance(obj, FloquetOperator):
                 held.append(obj)
             return None
 

@@ -42,6 +42,7 @@ from _oracles import (
     run_based_blp,
     run_based_rhp,
     schur_eig_ref,
+    vgue_pair,
 )
 
 
@@ -274,12 +275,12 @@ def test_vgue_series_and_sweep_step_in_dense_blocks(monkeypatch):
     run_series(config, CoherentSpec(1.0, 2.0))
     run_sweep(config)
     assert len(calls) == 2
-    gates = build_floquet_pair(config.chain_params, RngStream(config.seed, 0))
+    dense = FloquetPair(*vgue_pair(config.chain_params, RngStream(config.seed, 0)))
     for blocks, psi, t_cut, series in calls:
         assert [block.shape for block in (blocks.plus, blocks.minus)] == [(64, 64)] * 2
-        # Without a basis the blocks act on the full states, as the gates do.
-        gate = fidelity_series(gates, psi, t_cut)
-        assert np.max(np.abs(series.f - gate.f)) <= 1e-12
+        # Without a basis the blocks act on the full states, as the oracle's matrices do.
+        reference = fidelity_series(dense, psi, t_cut)
+        assert np.max(np.abs(series.f - reference.f)) <= 1e-12
 
 
 @pytest.mark.parametrize("coupling", [Coupling.V0, Coupling.V01])

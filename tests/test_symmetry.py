@@ -38,7 +38,6 @@ from _oracles import (
     brody_pdf,
     brody_sample,
     dense_floquet,
-    dense_kick_factor,
     match_phase_multisets,
     necklace_count,
     orbits_ref,
@@ -46,6 +45,7 @@ from _oracles import (
     sector_block_ref,
     translate,
     translation_permutation,
+    vgue_pair,
 )
 
 
@@ -189,14 +189,6 @@ def test_site_coupling_also_breaks_translation():
 ORBIT_DIMS_AT_TEN = {Coupling.VJ: 78, Coupling.VB: 78, Coupling.V0: 544, Coupling.V01: 528}
 
 
-def test_dense_factor_keeps_no_symmetry():
-    # Even the identity as a dense factor on a uniform chain: no basis, the dense operator.
-    op = FloquetOperator(((0.9, 1.4),) * 8, (1.0,) * 8, np.eye(256, dtype=np.complex128))
-    basis, (block,) = orbit_blocks([op])
-    assert basis is None
-    assert np.array_equal(block, assemble_dense(op))
-
-
 @pytest.mark.parametrize("coupling", [Coupling.VJ, Coupling.VB, Coupling.V0, Coupling.V01])
 def test_orbit_basis_at_ten_qubits(coupling):
     pair = build_floquet_pair(ChainParams(10, 1.0, 1.4, 0.1, coupling))
@@ -213,16 +205,17 @@ def test_orbit_basis_at_ten_qubits(coupling):
 @pytest.mark.parametrize("n_qubits", [2, 5, 6, 7])
 @pytest.mark.parametrize("coupling", list(Coupling))
 def test_orbit_blocks_are_exact_compressions(coupling, n_qubits):
-    pair = build_floquet_pair(ChainParams(n_qubits, 0.9, 1.3, 0.2, coupling, gue_seed=5))
-    basis, blocks = orbit_blocks((pair.plus, pair.minus))
-    for op, block in zip((pair.plus, pair.minus), blocks):
-        if op.dense_factor is None:
-            u = dense_floquet(op.kick_fields, op.bond_strengths, n_qubits)
-        else:
-            u = dense_kick_factor(op.kick_fields, n_qubits) @ op.dense_factor
-        if basis is None:  # a dense factor, or N=2 with a perturbed site or bond
-            assert np.abs(block - u).max() < 1e-13
-            continue
+    params = ChainParams(n_qubits, 0.9, 1.3, 0.2, coupling, gue_seed=5)
+    pair = build_floquet_pair(params)
+    members = (pair.plus, pair.minus)
+    if coupling is Coupling.VGUE:  # no basis: the members are the matrices VGUE steps in
+        basis, blocks, oracles = np.eye(1 << n_qubits), members, vgue_pair(params)
+    else:
+        basis, blocks = orbit_blocks(members)
+        oracles = [dense_floquet(op.kick_fields, op.bond_strengths, n_qubits) for op in members]
+    if n_qubits == 2 and coupling in (Coupling.V0, Coupling.V01):  # every orbit one state
+        assert np.array_equal(basis, np.eye(4))
+    for u, block in zip(oracles, blocks):
         # U maps the span of the basis onto itself: U C = C B.
         assert np.abs(u @ basis - basis @ block).max() < 1e-13
 
@@ -278,7 +271,8 @@ def _count_applies(monkeypatch):
 def test_spacing_statistics_refuses_symmetry_breaking_couplings(coupling, monkeypatch):
     params = ChainParams(6, 0.9, 1.3, 0.1, coupling, gue_seed=5)
     op = build_floquet_pair(params).plus
-    assert not is_uniform([op])
+    # VGUE's member is a dense matrix, which the guard refuses as it is.
+    assert isinstance(op, np.ndarray) if coupling is Coupling.VGUE else not is_uniform([op])
     calls = _count_applies(monkeypatch)
     with pytest.raises(SymmetryViolationError):
         spacing_statistics(op)

@@ -16,10 +16,10 @@ gives, for series that end on either side of a block boundary.
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import per_qubit_floquet, vgue_factors
+from _oracles import per_qubit_floquet, vgue_factors, vgue_pair
 from echochain.chain import (
     KICK_CHUNK,
     ChainParams,
@@ -84,15 +84,24 @@ def test_apply_floquet_matches_per_qubit_kernel(n, fields, bonds, cols, seed):
 
 @PROPERTY_SETTINGS
 @given(st.integers(2, 9), field, field, epsilon, columns, seeds)
-@example(9, 1.0, 1.4, 0.05, 3, 73)  # the last chunk holds a single qubit
-def test_vgue_propagators_match_per_qubit_kernel(n, b_perp, b_par, eps, cols, seed):
-    # VGUE's U+- are the chunked kick layer applied to exp(-i (H_I +- eps V)).
+def test_vgue_apply_floquet_matches_per_qubit_kernel(n, b_perp, b_par, eps, cols, seed):
+    # VGUE's Floquet step is the product with its built U+-: the chunked kick
+    # layer applied to exp(-i (H_I +- eps V)).
     params = ChainParams(n, b_perp, b_par, eps, Coupling.VGUE, gue_seed=seed)
     pair = build_floquet_pair(params)
     states = _random_states(1 << n, cols, seed)
     for u, factor in zip((pair.plus, pair.minus), vgue_factors(params)):
         reference = per_qubit_floquet(((b_perp, b_par),) * n, (1.0,) * n, states, factor)
         assert np.max(np.abs(u @ states - reference)) <= 1e-13
+
+
+def test_vgue_apply_floquet_matches_dense_product_at_nine_qubits():
+    # Nine qubits: the last kick chunk holds a single qubit.
+    params = ChainParams(9, 1.0, 1.4, 0.05, Coupling.VGUE, gue_seed=73)
+    pair = build_floquet_pair(params)
+    states = _random_states(1 << 9, 3, 5)
+    for u, dense in zip((pair.plus, pair.minus), vgue_pair(params)):
+        assert np.max(np.abs(u @ states - dense @ states)) <= 1e-13
 
 
 @PROPERTY_SETTINGS

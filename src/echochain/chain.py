@@ -32,7 +32,6 @@ class ChainParams:
     b_par: float
     epsilon: float
     coupling: Coupling
-    gue_seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_qubits < 2:
@@ -41,8 +40,6 @@ class ChainParams:
             raise ValueError("b_perp, b_par and epsilon must be finite")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
-        if self.coupling is Coupling.VGUE and self.gue_seed is None:
-            raise ValueError("VGUE coupling requires gue_seed")
 
     @property
     def dim(self) -> int:
@@ -127,13 +124,13 @@ class FloquetPair:
 
 
 def build_floquet_pair(params: ChainParams, rng: RngStream | None = None) -> FloquetPair:
-    """Constructs U+ and U- with the perturbation placed by coupling type.
+    """Constructs U+ and U- with the perturbation +-eps placed by coupling type.
 
-    ``rng`` feeds the dense random draw for VGUE; when omitted it is derived
-    from ``params.gue_seed``. VGUE's members are the dense matrices
-    (kicks) exp(-i (H_I +- eps V)), the form they step in. At epsilon = 0 both
-    members are the same object, so downstream code can recognize the
-    unperturbed case exactly.
+    VJ/V01 shift the Ising bonds and VB/V0 the transverse kick field, VJ/VB on
+    every site and V01/V0 on site 0 only. VGUE's members are the dense matrices
+    (kicks) exp(-i (H_I +- eps V)), the form they step in, with V drawn from
+    ``rng``. At epsilon = 0 both members are the same object, so downstream code
+    can recognize the unperturbed case exactly.
     """
     n = params.n_qubits
     eps = params.epsilon
@@ -145,40 +142,34 @@ def build_floquet_pair(params: ChainParams, rng: RngStream | None = None) -> Flo
         return FloquetPair(op, op)
 
     c = params.coupling
-    if c is Coupling.VJ:
-        plus = FloquetOperator(base_kick, (1.0 + eps,) * n)
-        minus = FloquetOperator(base_kick, (1.0 - eps,) * n)
-    elif c is Coupling.V01:
-        plus = FloquetOperator(base_kick, (1.0 + eps,) + (1.0,) * (n - 1))
-        minus = FloquetOperator(base_kick, (1.0 - eps,) + (1.0,) * (n - 1))
-    elif c is Coupling.VB:
-        plus = FloquetOperator(((params.b_perp + eps, params.b_par),) * n, base_bonds)
-        minus = FloquetOperator(((params.b_perp - eps, params.b_par),) * n, base_bonds)
-    elif c is Coupling.V0:
-        rest = ((params.b_perp, params.b_par),) * (n - 1)
-        plus = FloquetOperator(((params.b_perp + eps, params.b_par),) + rest, base_bonds)
-        minus = FloquetOperator(((params.b_perp - eps, params.b_par),) + rest, base_bonds)
-    elif c is Coupling.VGUE:
-        if params.dim > DENSE_DIM_CAP:
-            raise ValueError(
-                f"VGUE propagators are dense: refusing dimension {params.dim} > {DENSE_DIM_CAP}"
-            )
-        if rng is None:
-            rng = RngStream(params.gue_seed, 0)
-        # H_I +- eps V in one buffer: eps V, then its negative, with the angles on the diagonal.
-        v = sample_gue(params.dim, rng)
-        v *= eps
-        diagonal, angles = np.diag_indices(params.dim), _ising_angles(n, base_bonds)
-        kicks = FloquetOperator(base_kick, base_bonds)
-        h = v.copy()
-        h[diagonal] += angles
-        plus = _apply_kicks(kicks, hermitian_expm(h, 1.0))
-        np.negative(v, out=h)
-        del v
-        h[diagonal] += angles
-        minus = _apply_kicks(kicks, hermitian_expm(h, 1.0))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown coupling {c}")
+    if c is not Coupling.VGUE:
+        sites = n if c in (Coupling.VJ, Coupling.VB) else 1
+
+        def shifted(shift: float) -> FloquetOperator:
+            if c in (Coupling.VJ, Coupling.V01):
+                return FloquetOperator(base_kick, (1.0 + shift,) * sites + base_bonds[sites:])
+            kick = ((params.b_perp + shift, params.b_par),) * sites + base_kick[sites:]
+            return FloquetOperator(kick, base_bonds)
+
+        return FloquetPair(shifted(eps), shifted(-eps))
+    if params.dim > DENSE_DIM_CAP:
+        raise ValueError(
+            f"VGUE propagators are dense: refusing dimension {params.dim} > {DENSE_DIM_CAP}"
+        )
+    if rng is None:
+        raise ValueError("VGUE coupling needs an rng for its random draw")
+    # H_I +- eps V in one buffer: eps V, then its negative, with the angles on the diagonal.
+    v = sample_gue(params.dim, rng)
+    v *= eps
+    diagonal, angles = np.diag_indices(params.dim), _ising_angles(n, base_bonds)
+    kicks = FloquetOperator(base_kick, base_bonds)
+    h = v.copy()
+    h[diagonal] += angles
+    plus = _apply_kicks(kicks, hermitian_expm(h))
+    np.negative(v, out=h)
+    del v
+    h[diagonal] += angles
+    minus = _apply_kicks(kicks, hermitian_expm(h))
     return FloquetPair(plus, minus)
 
 

@@ -65,10 +65,7 @@ class RunConfig:
 
     @property
     def chain_params(self) -> ChainParams:
-        gue_seed = self.seed if self.coupling is Coupling.VGUE else None
-        return ChainParams(
-            self.n_qubits, self.b_perp, self.b_par, self.epsilon, self.coupling, gue_seed
-        )
+        return ChainParams(self.n_qubits, self.b_perp, self.b_par, self.epsilon, self.coupling)
 
     @property
     def grid(self) -> SphereGrid:

@@ -144,13 +144,13 @@ def unitary_eig(u: np.ndarray) -> EigenSystem:
     return EigenSystem(phases[order], vectors[:, order], residual)
 
 
-def hermitian_expm(h: np.ndarray, scale: float) -> np.ndarray:
-    """exp(-i * scale * h) for Hermitian h, via eigendecomposition."""
+def hermitian_expm(h: np.ndarray) -> np.ndarray:
+    """exp(-i h) for Hermitian h, via eigendecomposition."""
     h = _require_square(h)
     if hermiticity_defect(h) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within 1e-10")
     values, vectors = np.linalg.eigh(h)
-    scaled = vectors * np.exp(-1j * scale * values)[np.newaxis, :]
+    scaled = vectors * np.exp(-1j * values)[np.newaxis, :]
     return scaled @ np.conjugate(vectors, out=vectors).T
 
 

@@ -8,7 +8,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .chain import FloquetOperator, FloquetPair, build_floquet_pair
+from .chain import Coupling, FloquetOperator, FloquetPair, build_floquet_pair
 from .coherent import CoherentSpec, build_coherent_state, enumerate_grid
 from .config import RunConfig
 from .dynamics import (
@@ -18,6 +18,7 @@ from .linalg import RngStream, unitary_eig
 from .measures import compute_report
 from .symmetry import (
     SpectralReport,
+    SymmetryViolationError,
     ipr,
     is_uniform,
     orbit_blocks,
@@ -147,6 +148,8 @@ def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
 
 def run_spectral(config: RunConfig) -> SpectralReport:
     """Spacing statistics and Brody fit for the U+ propagator."""
+    if config.coupling is Coupling.VGUE and config.epsilon > 0.0:  # refused before the draw
+        raise SymmetryViolationError("the operator breaks translation symmetry (dense VGUE U+)")
     pair = build_floquet_pair(config.chain_params, RngStream(config.seed, 0))
     return spacing_statistics(pair.plus)
 

@@ -68,23 +68,23 @@ def dense_kick_factor(kick_fields, n_qubits: int) -> np.ndarray:
     return scipy.linalg.expm(-1j * h_kick)
 
 
-def vgue_factors(params, rng=None) -> tuple[np.ndarray, np.ndarray]:
+def vgue_factors(params, rng) -> tuple[np.ndarray, np.ndarray]:
     """exp(-i (H_I + eps V)) and exp(-i (H_I - eps V)) of a VGUE ``params``.
 
-    H_I holds the unit-bond Ising angles on its diagonal. The GUE draw V
-    (``rng``, else stream 0 of the GUE seed) and the Hermitian exponential are
-    the library's ``sample_gue`` and ``hermitian_expm``, tested on their own, so
-    that a test of the kick layer sees no rounding of a second eigensolver.
+    H_I holds the unit-bond Ising angles on its diagonal. The GUE draw V (from
+    ``rng``) and the Hermitian exponential are the library's ``sample_gue`` and
+    ``hermitian_expm``, tested on their own, so that a test of the kick layer
+    sees no rounding of a second eigensolver.
     """
-    from echochain.linalg import RngStream, hermitian_expm, sample_gue
+    from echochain.linalg import hermitian_expm, sample_gue
 
     n = params.n_qubits
-    v = sample_gue(1 << n, rng or RngStream(params.gue_seed, 0))
+    v = sample_gue(1 << n, rng)
     h_ising = np.diag(ising_angles((1.0,) * n, n))
-    return tuple(hermitian_expm(h_ising + s * params.epsilon * v, 1.0) for s in (1, -1))
+    return tuple(hermitian_expm(h_ising + s * params.epsilon * v) for s in (1, -1))
 
 
-def vgue_pair(params, rng=None) -> tuple[np.ndarray, np.ndarray]:
+def vgue_pair(params, rng) -> tuple[np.ndarray, np.ndarray]:
     """Dense U+ and U- of a VGUE ``params``: ``dense_kick_factor`` times ``vgue_factors``."""
     kick = dense_kick_factor(((params.b_perp, params.b_par),) * params.n_qubits, params.n_qubits)
     return tuple(kick @ factor for factor in vgue_factors(params, rng))

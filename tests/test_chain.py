@@ -20,9 +20,8 @@ ALL_COUPLINGS = list(Coupling)
 
 
 def _pair(coupling, n_qubits=4, epsilon=0.1, b_perp=0.9, b_par=1.3, seed=5):
-    gue_seed = seed if coupling is Coupling.VGUE else None
-    params = ChainParams(n_qubits, b_perp, b_par, epsilon, coupling, gue_seed)
-    return build_floquet_pair(params)
+    params = ChainParams(n_qubits, b_perp, b_par, epsilon, coupling)
+    return build_floquet_pair(params, RngStream(seed, 0))
 
 
 def test_params_validation():
@@ -30,8 +29,6 @@ def test_params_validation():
         ChainParams(1, 0.1, 1.4, 0.1, Coupling.VJ)
     with pytest.raises(ValueError):
         ChainParams(4, 0.1, 1.4, -0.1, Coupling.VJ)
-    with pytest.raises(ValueError):
-        ChainParams(4, 0.1, 1.4, 0.1, Coupling.VGUE)  # needs a seed
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -98,8 +95,8 @@ def test_v0_shifts_first_site_field_only():
 
 def test_vgue_dense_factor_matches_explicit_assembly():
     # U+- = (kick factor) exp(-i (H_I +- eps V)), the draw rescaled here by its 2-norm.
-    params = ChainParams(3, 0.5, 0.7, 0.1, Coupling.VGUE, gue_seed=7)
-    pair = build_floquet_pair(params)
+    params = ChainParams(3, 0.5, 0.7, 0.1, Coupling.VGUE)
+    pair = build_floquet_pair(params, RngStream(7, 0))
     assert unitarity_defect(pair.plus) < 1e-9
     assert unitarity_defect(pair.minus) < 1e-9
     v = gue_raw(8, RngStream(7, 0))
@@ -108,24 +105,29 @@ def test_vgue_dense_factor_matches_explicit_assembly():
     h_plus = np.diag(angles) + 0.1 * v
     h_minus = np.diag(angles) - 0.1 * v
     kick = dense_kick_factor(((0.5, 0.7),) * 3, 3)
-    assert np.abs(pair.plus - kick @ hermitian_expm(h_plus, 1.0)).max() < 1e-10
-    assert np.abs(pair.minus - kick @ hermitian_expm(h_minus, 1.0)).max() < 1e-10
+    assert np.abs(pair.plus - kick @ hermitian_expm(h_plus)).max() < 1e-10
+    assert np.abs(pair.minus - kick @ hermitian_expm(h_minus)).max() < 1e-10
 
 
 def test_vgue_deterministic_per_stream():
-    params = ChainParams(3, 0.5, 0.7, 0.1, Coupling.VGUE, gue_seed=7)
-    a = build_floquet_pair(params)
-    b = build_floquet_pair(params)
+    params = ChainParams(3, 0.5, 0.7, 0.1, Coupling.VGUE)
+    a = build_floquet_pair(params, RngStream(7, 0))
+    b = build_floquet_pair(params, RngStream(7, 0))
     assert np.array_equal(a.plus, b.plus)
     c = build_floquet_pair(params, RngStream(7, 1))
     assert not np.array_equal(a.plus, c.plus)
 
 
 def test_vgue_dimension_cap():
-    params = ChainParams(13, 0.5, 0.7, 0.1, Coupling.VGUE, gue_seed=1)
+    params = ChainParams(13, 0.5, 0.7, 0.1, Coupling.VGUE)
     assert params.dim > DENSE_DIM_CAP
-    with pytest.raises(ValueError):
-        build_floquet_pair(params)
+    with pytest.raises(ValueError, match="dense"):
+        build_floquet_pair(params, RngStream(1, 0))
+
+
+def test_vgue_build_needs_rng():
+    with pytest.raises(ValueError, match="rng"):
+        build_floquet_pair(ChainParams(3, 0.5, 0.7, 0.1, Coupling.VGUE))
 
 
 def test_apply_floquet_identity_when_all_parameters_vanish():
@@ -145,7 +147,8 @@ def test_apply_floquet_matches_dense_oracle(coupling, n_qubits):
     members = (pair.plus, pair.minus)
     rng = np.random.default_rng(17)
     if coupling is Coupling.VGUE:  # VGUE's members are the matrices it steps in
-        step, oracles = np.matmul, vgue_pair(ChainParams(n_qubits, 0.9, 1.3, 0.1, coupling, 5))
+        params = ChainParams(n_qubits, 0.9, 1.3, 0.1, coupling)
+        step, oracles = np.matmul, vgue_pair(params, RngStream(5, 0))
     else:
         step = apply_floquet
         oracles = [dense_floquet(op.kick_fields, op.bond_strengths, n_qubits) for op in members]

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import echochain
+import echochain.chain as chain_module
 import echochain.sweep as sweep_module
 from echochain.chain import ChainParams, Coupling, build_floquet_pair
 from echochain.cli import main
@@ -115,20 +116,31 @@ def test_spectral_at_two_qubits_gives_the_brody_error(tmp_path, capsys):
     assert not (tmp_path / "hist.txt").exists()
 
 
+VGUE_SPECTRAL = "n_qubits = 6\nb_perp = 1.0\nb_par = 1.4\nepsilon = 0.1\ncoupling = VGUE\nseed = 3\n"
+
+
 def test_spectral_of_vgue_gives_one_error_line(tmp_path, capsys):
     # VGUE's U+ is a dense matrix with no translation symmetry: refused before any sector.
     path = tmp_path / "spectral.cfg"
-    path.write_text(
-        "n_qubits = 6\nb_perp = 1.0\nb_par = 1.4\nepsilon = 0.1\ncoupling = VGUE\nseed = 3\n"
-        f"output_path = {tmp_path / 'hist.txt'}\n",
-        encoding="utf-8",
-    )
+    path.write_text(VGUE_SPECTRAL + f"output_path = {tmp_path / 'hist.txt'}\n", encoding="utf-8")
     assert main(["spectral", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: the operator breaks translation symmetry")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert not (tmp_path / "hist.txt").exists()
+
+
+def test_spectral_refuses_vgue_before_the_draw(tmp_path, capsys, monkeypatch):
+    # The refusal needs only the config: no GUE draw and no dense exponentials first.
+    def no_draw(*args):
+        raise AssertionError("sample_gue was called")
+
+    monkeypatch.setattr(chain_module, "sample_gue", no_draw)
+    path = tmp_path / "spectral.cfg"
+    path.write_text(VGUE_SPECTRAL, encoding="utf-8")
+    assert main(["spectral", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: the operator breaks translation symmetry")
 
 
 def test_quarter_turn_phi_axis_sweeps_eight_points(small_config, capsys):

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from echochain.chain import Coupling
+from echochain.chain import Coupling, build_floquet_pair
 from echochain.config import (
     ConfigError,
     IprBasisChoice,
@@ -10,6 +11,8 @@ from echochain.config import (
     parse_config,
     parse_config_text,
 )
+from echochain.linalg import RngStream
+from echochain.sweep import _propagators
 
 MINIMAL = """
 n_qubits = 6
@@ -132,11 +135,14 @@ def test_sector_ipr_basis_needs_translation_invariant_coupling(coupling):
     assert explicit.ipr_basis is IprBasisChoice.SECTOR_K0
 
 
-def test_chain_params_carries_seed_only_for_vgue():
-    plain = parse_config_text(MINIMAL + "seed = 9\n")
-    assert plain.chain_params.gue_seed is None
-    vgue = parse_config_text(MINIMAL.replace("= VJ", "= VGUE") + "seed = 9\n")
-    assert vgue.chain_params.gue_seed == 9
+def test_vgue_config_pair_draws_from_seed_stream_zero():
+    # The seed reaches the VGUE draw as RngStream(seed, sample), not through ChainParams.
+    config = parse_config_text(MINIMAL.replace("= VJ", "= VGUE") + "seed = 9\n")
+    basis, (pair,) = _propagators(config, 1)
+    expected = build_floquet_pair(config.chain_params, RngStream(9, 0))
+    assert basis is None
+    assert np.array_equal(pair.plus, expected.plus)
+    assert np.array_equal(pair.minus, expected.minus)
 
 
 def test_normalize_flag_parsing():

@@ -14,6 +14,7 @@ from echochain.dynamics import (
     write_lines,
     write_series,
 )
+from echochain.linalg import RngStream
 
 from _oracles import (
     ChannelSnapshot,
@@ -58,7 +59,7 @@ def test_series_matches_dense_matrix_powers():
 )
 def test_time_block_forms_only_used_powers(t_cut, squarings):
     # U^2, U^4, U^8 are squared only while a later period needs them, so t_cut = 1 forms none.
-    pair = build_floquet_pair(ChainParams(5, 0.9, 1.3, 0.1, Coupling.VGUE, gue_seed=4))
+    pair = build_floquet_pair(ChainParams(5, 0.9, 1.3, 0.1, Coupling.VGUE), RngStream(4, 0))
     products = []
 
     class Logged(np.ndarray):

@@ -32,6 +32,7 @@ from echochain.chain import (
 from echochain.coherent import CoherentSpec, build_coherent_state
 from echochain.config import RunConfig
 from echochain.dynamics import PERIODS_PER_BLOCK, fidelity_series
+from echochain.linalg import RngStream
 from echochain.sweep import run_series
 from echochain.symmetry import is_uniform, orbit_blocks
 
@@ -83,24 +84,25 @@ def test_apply_floquet_matches_per_qubit_kernel(n, fields, bonds, cols, seed):
 
 
 @PROPERTY_SETTINGS
-@given(st.integers(2, 9), field, field, epsilon, columns, seeds)
+@given(st.integers(2, 8), field, field, epsilon, columns, seeds)
 def test_vgue_apply_floquet_matches_per_qubit_kernel(n, b_perp, b_par, eps, cols, seed):
     # VGUE's Floquet step is the product with its built U+-: the chunked kick
-    # layer applied to exp(-i (H_I +- eps V)).
-    params = ChainParams(n, b_perp, b_par, eps, Coupling.VGUE, gue_seed=seed)
-    pair = build_floquet_pair(params)
+    # layer applied to exp(-i (H_I +- eps V)). N = 9, a last chunk of one qubit,
+    # is the fixed test below; each N = 9 example costs six 512-dim eigensolves.
+    params = ChainParams(n, b_perp, b_par, eps, Coupling.VGUE)
+    pair = build_floquet_pair(params, RngStream(seed, 0))
     states = _random_states(1 << n, cols, seed)
-    for u, factor in zip((pair.plus, pair.minus), vgue_factors(params)):
+    for u, factor in zip((pair.plus, pair.minus), vgue_factors(params, RngStream(seed, 0))):
         reference = per_qubit_floquet(((b_perp, b_par),) * n, (1.0,) * n, states, factor)
         assert np.max(np.abs(u @ states - reference)) <= 1e-13
 
 
 def test_vgue_apply_floquet_matches_dense_product_at_nine_qubits():
     # Nine qubits: the last kick chunk holds a single qubit.
-    params = ChainParams(9, 1.0, 1.4, 0.05, Coupling.VGUE, gue_seed=73)
-    pair = build_floquet_pair(params)
+    params = ChainParams(9, 1.0, 1.4, 0.05, Coupling.VGUE)
+    pair = build_floquet_pair(params, RngStream(73, 0))
     states = _random_states(1 << 9, 3, 5)
-    for u, dense in zip((pair.plus, pair.minus), vgue_pair(params)):
+    for u, dense in zip((pair.plus, pair.minus), vgue_pair(params, RngStream(73, 0))):
         assert np.max(np.abs(u @ states - dense @ states)) <= 1e-13
 
 
@@ -129,7 +131,7 @@ def test_series_in_k0_blocks_matches_gate_path(n, b_perp, b_par, eps, coupling, 
     st.lists(specs, min_size=2, max_size=4),
 )
 def test_batched_echo_columns_match_single_runs(n, b_perp, b_par, eps, coupling, t, batch):
-    pair = build_floquet_pair(ChainParams(n, b_perp, b_par, eps, coupling, gue_seed=3))
+    pair = build_floquet_pair(ChainParams(n, b_perp, b_par, eps, coupling), RngStream(3, 0))
     states = np.stack([build_coherent_state(spec, n) for spec in batch], axis=1)
     if isinstance(pair.plus, FloquetOperator) and is_uniform((pair.plus, pair.minus)):
         basis, blocks = orbit_blocks((pair.plus, pair.minus))
@@ -156,7 +158,7 @@ def _one_period_steps(blocks, states, t_cut):
 )
 def test_time_blocks_match_one_period_steps(n, b_perp, b_par, eps, coupling, t, cols, seed):
     # VJ and VB step in orbit blocks, VGUE in its dense matrices.
-    pair = build_floquet_pair(ChainParams(n, b_perp, b_par, eps, coupling, gue_seed=seed))
+    pair = build_floquet_pair(ChainParams(n, b_perp, b_par, eps, coupling), RngStream(seed, 0))
     blocks = (pair.plus, pair.minus)
     if coupling is not Coupling.VGUE:
         _, blocks = orbit_blocks(blocks)

@@ -1,4 +1,4 @@
-"""The benchmark's traced names must exist in the package.
+"""The benchmark's traced names must exist in the package, and its probe must run.
 
 ``perfbench/trace_run.py`` looks functions up by name and records 0 for any
 name it cannot find, so a rename would silently empty a per-layer metric.
@@ -8,11 +8,16 @@ import importlib
 import importlib.util
 import io
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACE_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "trace_run.py"
+from test_cli import CHILD_ENV
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACE_RUN = PERFBENCH / "trace_run.py"
 
 
 def _load_trace_run():
@@ -71,3 +76,19 @@ def test_vgue_sweep_context_holds_no_dense_factor():
     Visitor(io.BytesIO()).dump(context)
     assert held == []
     assert pickle.loads(pickle.dumps(context))
+
+
+@pytest.mark.parametrize("coupling", ["VJ", "VGUE"])
+def test_setup_probe_runs(tmp_path, coupling):
+    # setup_probe.py calls RunConfig.chain_params and build_floquet_pair(params, rng) by
+    # name and signature; the traced-name check above would not see either change.
+    path = tmp_path / "spectral.cfg"
+    path.write_text(
+        f"n_qubits = 6\nb_perp = 1.0\nb_par = 1.4\nepsilon = 0.1\ncoupling = {coupling}\n",
+        encoding="utf-8",
+    )
+    result = subprocess.run(
+        [sys.executable, str(PERFBENCH / "setup_probe.py"), str(path)],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert result.returncode == 0, result.stderr

@@ -16,7 +16,7 @@ from echochain.chain import (
 )
 from echochain.coherent import CoherentSpec, build_coherent_state, enumerate_grid
 from echochain.config import RunConfig
-from echochain.linalg import norm_deficit, unitary_eig
+from echochain.linalg import RngStream, norm_deficit, unitary_eig
 from echochain.symmetry import (
     DEGENERACY_GAP,
     SymmetryViolationError,
@@ -205,11 +205,11 @@ def test_orbit_basis_at_ten_qubits(coupling):
 @pytest.mark.parametrize("n_qubits", [2, 5, 6, 7])
 @pytest.mark.parametrize("coupling", list(Coupling))
 def test_orbit_blocks_are_exact_compressions(coupling, n_qubits):
-    params = ChainParams(n_qubits, 0.9, 1.3, 0.2, coupling, gue_seed=5)
-    pair = build_floquet_pair(params)
+    params = ChainParams(n_qubits, 0.9, 1.3, 0.2, coupling)
+    pair = build_floquet_pair(params, RngStream(5, 0))
     members = (pair.plus, pair.minus)
     if coupling is Coupling.VGUE:  # no basis: the members are the matrices VGUE steps in
-        basis, blocks, oracles = np.eye(1 << n_qubits), members, vgue_pair(params)
+        basis, blocks, oracles = np.eye(1 << n_qubits), members, vgue_pair(params, RngStream(5, 0))
     else:
         basis, blocks = orbit_blocks(members)
         oracles = [dense_floquet(op.kick_fields, op.bond_strengths, n_qubits) for op in members]
@@ -269,8 +269,8 @@ def _count_applies(monkeypatch):
 
 @pytest.mark.parametrize("coupling", [Coupling.V0, Coupling.V01, Coupling.VGUE])
 def test_spacing_statistics_refuses_symmetry_breaking_couplings(coupling, monkeypatch):
-    params = ChainParams(6, 0.9, 1.3, 0.1, coupling, gue_seed=5)
-    op = build_floquet_pair(params).plus
+    params = ChainParams(6, 0.9, 1.3, 0.1, coupling)
+    op = build_floquet_pair(params, RngStream(5, 0)).plus
     # VGUE's member is a dense matrix, which the guard refuses as it is.
     assert isinstance(op, np.ndarray) if coupling is Coupling.VGUE else not is_uniform([op])
     calls = _count_applies(monkeypatch)

@@ -3,7 +3,9 @@
 ``unitary_eig`` (eigenphases and eigenvectors, for the IPR) and
 ``unitary_phases`` (eigenphases only, for the spacing statistics) share one
 Hermitian eigensolve of a Cayley transform; ``hermitian_expm`` and
-``sample_gue`` call ``numpy.linalg`` directly.
+``sample_gue`` call ``numpy.linalg`` directly. The Cayley transform of a
+symmetric unitary is real up to rounding: ``unitary_eig`` then solves the real
+part and returns real eigenvectors.
 """
 
 from __future__ import annotations
@@ -23,6 +25,12 @@ UNITARY_TOL = 1e-9
 # of the eigenvalue-only route near 1e-13. Measured on a V0 chain at N=10: a
 # residual of 1.2e-15 * max|w|.
 CAYLEY_NORM_CAP = 1e4
+# eigh's relative rounding, c * 1.1e-16 above. The inverse X = (1 - zU)^-1
+# behind C is rounded as well: the computed X is the exact inverse for some
+# U + dU with |dU| about ROUNDING, so X and C are off by up to about
+# ROUNDING * (1 + |C|^2), as |X| = |C + i| / 2. Being a backward error of U, it
+# costs U's pairs no more than eigh's own rounding does.
+ROUNDING = 5 * 1.1e-16
 # Shifts tried in turn: 2.5, then steps of the golden angle, which keeps
 # every prefix of the sequence spread evenly around the circle. 2.5 lies at
 # least 0.066 from every integer angle mod 2pi up to 24 and every multiple
@@ -49,7 +57,8 @@ class EigenSystem:
     """Eigendecomposition of a unitary; eigenvectors are the columns of ``vectors``.
 
     ``values`` holds the eigenphases in (-pi, pi], ascending; ``residual`` is
-    the largest column norm of ``U V - V e^{i values}``.
+    the largest column norm of ``U V - V e^{i values}``. ``vectors`` is real
+    for a symmetric U (``unitary_eig``), and U V is then two real products.
     """
 
     values: np.ndarray
@@ -133,10 +142,25 @@ def unitary_phases(u: np.ndarray) -> np.ndarray:
 
 
 def unitary_eig(u: np.ndarray) -> EigenSystem:
-    """Eigenphases (in (-pi, pi], ascending) and eigenvectors of a unitary."""
+    """Eigenphases (in (-pi, pi], ascending) and eigenvectors of a unitary.
+
+    A symmetric U = Q e^{i phi} Q^T gets the real orthogonal Q.
+    """
     u = _require_unitary(u)
-    _, vectors = np.linalg.eigh(_cayley(u)[1])
-    r = u @ vectors
+    c = _cayley(u)[1]
+    # A symmetric U has a symmetric X, so Im C = Re(X - X^T) is then rounding of X
+    # alone. Dropping it symmetrises X: to first order the inverse for U plus the
+    # symmetric part of dU, a backward error no larger than dU. So the real Re C is
+    # solved when |Im C| is within X's rounding. A generic unitary's |Im C| is
+    # comparable to |C|, over 1e11 times that bound for every |C| within the cap.
+    real = np.linalg.norm(c.imag) <= ROUNDING * (1.0 + np.linalg.norm(c) ** 2)
+    _, vectors = np.linalg.eigh(c.real if real else c)
+    del c
+    if real:
+        r = np.empty_like(u)
+        r.real, r.imag = u.real @ vectors, u.imag @ vectors
+    else:
+        r = u @ vectors
     phases = _half_open(np.angle(np.einsum("ij,ij->j", vectors.conj(), r)))
     r -= vectors * np.exp(1j * phases)[np.newaxis, :]
     residual = float(np.max(np.linalg.norm(r, axis=0)))

@@ -8,7 +8,9 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .chain import Coupling, FloquetOperator, FloquetPair, build_floquet_pair
+from .chain import (
+    Coupling, FloquetOperator, FloquetPair, apply_floquet, build_floquet_pair, kick_power,
+)
 from .coherent import CoherentSpec, build_coherent_state, enumerate_grid
 from .config import RunConfig
 from .dynamics import (
@@ -24,6 +26,7 @@ from .symmetry import (
     orbit_blocks,
     spacing_histogram,
     spacing_statistics,
+    symmetrized_block,
 )
 
 # Memory budget of one batch of grid points. Per period, each point holds 16 B of
@@ -54,42 +57,48 @@ CSV_FIELDS = tuple(f.name for f in fields(SweepRow))
 
 
 def _propagators(config: RunConfig, samples: int) -> tuple:
-    """(orbit basis or None, one FloquetPair per sample), in the form the pairs step in.
+    """(orbit basis or None, one FloquetPair per sample as built, the same in the form it steps in).
 
     Uniform operators step in orbit blocks and are dropped; VGUE's matrices step as built
     (no basis), and the other operators keep the gates, cheaper than reflection-even blocks.
     """
     params = config.chain_params
-    pairs = tuple(build_floquet_pair(params, RngStream(config.seed, m)) for m in range(samples))
-    ops = [op for pair in pairs for op in (pair.plus, pair.minus)]
+    built = tuple(build_floquet_pair(params, RngStream(config.seed, m)) for m in range(samples))
+    ops = [op for pair in built for op in (pair.plus, pair.minus)]
     if not (isinstance(ops[0], FloquetOperator) and is_uniform(ops)):
-        return None, pairs
+        return None, built, built
     basis, blocks = orbit_blocks(ops)
-    return basis, tuple(map(FloquetPair, blocks[::2], blocks[1::2]))
+    return basis, built, tuple(map(FloquetPair, blocks[::2], blocks[1::2]))
 
 
 def _prepare_context(config: RunConfig) -> tuple:
-    """(pairs from ``_propagators``, per pair the IPR eigensystem, orbit basis or None).
+    """(pairs as they step, per pair (IPR eigensystem, frame or None), orbit basis or None).
 
-    Grid points lie in the span of the orbit basis (``orbit_blocks``), so the IPR is
-    taken in the U+ block, whatever ``ipr_basis`` says; the gate route builds it here.
+    The IPR amplitudes are <u_n|psi> over the eigenvectors u_n of U+. An operator
+    U+ = K^1/2 S K^-1/2 (``symmetrized_block``) has u_n = K^1/2 s_n, so they are
+    <s_n|K^-1/2 psi>: the eigensystem is the real one of S's orbit block, and the frame
+    K^-1/2 maps each state before its coordinates in that block's basis are taken. The
+    uniform operators step in the same basis. VGUE's dense U+ has no symmetric form:
+    its own eigensystem, with no frame and no basis.
     """
-    basis, pairs = _propagators(config, config.gue_samples)
-    plus_blocks = [pair.plus for pair in pairs]
-    if isinstance(plus_blocks[0], FloquetOperator):
-        basis, plus_blocks = orbit_blocks(plus_blocks)
-    return pairs, tuple(unitary_eig(block) for block in plus_blocks), basis
+    _, built, pairs = _propagators(config, config.gue_samples)
+    plus = built[0].plus
+    if not isinstance(plus, FloquetOperator):
+        return pairs, tuple((unitary_eig(pair.plus), None) for pair in pairs), None
+    basis, block = symmetrized_block(plus)
+    return pairs, ((unitary_eig(block), kick_power(plus, -0.5)),) * len(pairs), basis
 
 
 def _rows_for_batch(config: RunConfig, context: tuple, specs: list[CoherentSpec]) -> list[SweepRow]:
     pairs, eigs, basis = context
     psis = np.stack([build_coherent_state(spec, config.n_qubits) for spec in specs], axis=1)
-    coords = psis if basis is None else basis.T @ psis
-    states = psis if isinstance(pairs[0].plus, FloquetOperator) else coords
+    in_blocks = basis is not None and not isinstance(pairs[0].plus, FloquetOperator)
+    states = basis.T @ psis if in_blocks else psis
     per_sample = []
-    for pair, eig in zip(pairs, eigs):
+    for pair, (eig, frame) in zip(pairs, eigs):
+        framed = psis if frame is None else apply_floquet(frame, psis)
         # ipr() refuses coordinates that lost norm: a leaking state fails before any period.
-        state_ipr = ipr(coords, eig)
+        state_ipr = ipr(framed if basis is None else basis.T @ framed, eig)
         series = fidelity_series(pair, states, config.t_cut)
         report = compute_report(series, normalize=config.normalize_by_tcut)
         tail = asymptotic_fidelity(series, config.tail_window_fraction)
@@ -161,7 +170,7 @@ def write_spacing_histogram(report: SpectralReport, path: str) -> None:
 
 def run_series(config: RunConfig, spec: CoherentSpec) -> FidelitySeries:
     """f(t), t = 0..t_cut, of one coherent state, evolved as in a sweep."""
-    basis, (pair,) = _propagators(config, 1)
+    basis, _, (pair,) = _propagators(config, 1)
     psi = build_coherent_state(spec, config.n_qubits)
     # fidelity_series refuses coordinates that lost norm: a state leaking out of the basis.
     return fidelity_series(pair, psi if basis is None else basis.T @ psi, config.t_cut)

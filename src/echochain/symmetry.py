@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .chain import DENSE_DIM_CAP, FloquetOperator, apply_floquet
+from .chain import DENSE_DIM_CAP, FloquetOperator, apply_floquet, kick_power
 from .linalg import EigenSystem, norm_deficit, unitary_phases
 
 SECTOR_UNITARY_TOL = 1e-9
@@ -156,18 +156,16 @@ def is_uniform(ops: Sequence[FloquetOperator]) -> bool:
     return len(_site_symmetries(ops)) == 2 * ops[0].n_qubits
 
 
-def orbit_blocks(ops: Sequence[FloquetOperator]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """(C, C^T U C for each U in ``ops``), C real with one column per orbit of basis states.
+def _orbit_basis(ops: Sequence[FloquetOperator]) -> tuple[np.ndarray, Callable]:
+    """(C, the map from the images W = U C of a unitary U to its block C^T U C).
 
-    The orbits are those of the site permutations that leave all of ``ops``
-    unchanged (``_site_symmetries``): translations and reflections for a
-    uniform chain, the reflection fixing a perturbed site or bond (at N = 2
-    the identity alone, so C is the identity). A column is its orbit's
-    indicator over sqrt(orbit size), in the order of the orbits' smallest
-    members; every product of identical qubit states lies in their span.
-    Each block comes from one apply of its operator to C and must come out
-    unitary; an operator listed twice (the one object of an epsilon = 0 pair)
-    gets one block. More than DENSE_DIM_CAP orbits are refused before any apply.
+    C is real with one column per orbit of the site permutations that leave all
+    of ``ops`` unchanged (``_site_symmetries``): translations and reflections for
+    a uniform chain, the reflection fixing a perturbed site or bond (at N = 2 the
+    identity alone, so C is the identity). A column is its orbit's indicator over
+    sqrt(orbit size), in the order of the orbits' smallest members; every product
+    of identical qubit states lies in their span. A block must come out unitary.
+    More than DENSE_DIM_CAP orbits are refused before C is formed.
     """
     images = _permuted_states(ops[0].n_qubits, _site_symmetries(ops))
     index = np.arange(ops[0].dim)
@@ -176,14 +174,44 @@ def orbit_blocks(ops: Sequence[FloquetOperator]) -> tuple[np.ndarray, tuple[np.n
         raise ValueError(f"dense assembly refused beyond dimension {DENSE_DIM_CAP}")
     basis = np.zeros((len(index), len(sizes)))
     basis[index, orbit] = 1.0 / np.sqrt(sizes[orbit])
-    # C has one nonzero per row, so C^T (U C) sums the rows of U C over each orbit.
+    # C has one nonzero per row, so C^T W sums the rows of W over each orbit.
     members, starts = np.argsort(orbit, kind="stable"), np.cumsum(sizes) - sizes
+
+    def block(images: np.ndarray) -> np.ndarray:
+        sums = np.add.reduceat(images[members], starts)
+        compressed = (1.0 / np.sqrt(sizes))[:, np.newaxis] * sums
+        _require_no_leak(compressed, "orbit block")
+        return compressed
+
+    return basis, block
+
+
+def orbit_blocks(ops: Sequence[FloquetOperator]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(C, C^T U C for each U in ``ops``), C the orbit basis of ``_orbit_basis``.
+
+    Each block comes from one apply of its operator to C; an operator listed
+    twice (the one object of an epsilon = 0 pair) gets one block.
+    """
+    basis, block = _orbit_basis(ops)
     blocks = dict.fromkeys(ops)  # FloquetOperator hashes by identity (eq=False)
     for op in blocks:
-        sums = np.add.reduceat(apply_floquet(op, basis)[members], starts)
-        blocks[op] = (1.0 / np.sqrt(sizes))[:, np.newaxis] * sums
-        _require_no_leak(blocks[op], "orbit block")
+        blocks[op] = block(apply_floquet(op, basis))
     return basis, tuple(blocks[op] for op in ops)
+
+
+def symmetrized_block(op: FloquetOperator) -> tuple[np.ndarray, np.ndarray]:
+    """(C, C^T S C) for S = K^1/2 I K^1/2, the symmetric form of U = K I; C as for U.
+
+    U's Ising phases I act first, then its kicks K, so U = K^1/2 S K^-1/2.
+    Every kick gate is a symmetric matrix and I is diagonal, so S = S^T
+    (Bertini, Kos and Prosen, PRL 121, 264101 (2018)); C is real, so the
+    block is a symmetric unitary with U's eigenphases. S C is one apply of
+    K^1/2, then one of K^1/2 after the Ising phases.
+    """
+    basis, block = _orbit_basis([op])
+    half = kick_power(op, 0.5)
+    after_ising = FloquetOperator(half.kick_fields, op.bond_strengths)
+    return basis, block(apply_floquet(after_ising, apply_floquet(half, basis)))
 
 
 def ipr(states: np.ndarray, eig: EigenSystem) -> float | np.ndarray:

@@ -138,7 +138,7 @@ def test_sector_ipr_basis_needs_translation_invariant_coupling(coupling):
 def test_vgue_config_pair_draws_from_seed_stream_zero():
     # The seed reaches the VGUE draw as RngStream(seed, sample), not through ChainParams.
     config = parse_config_text(MINIMAL.replace("= VJ", "= VGUE") + "seed = 9\n")
-    basis, (pair,) = _propagators(config, 1)
+    basis, _, (pair,) = _propagators(config, 1)
     expected = build_floquet_pair(config.chain_params, RngStream(9, 0))
     assert basis is None
     assert np.array_equal(pair.plus, expected.plus)

@@ -11,6 +11,10 @@ chunks and one more qubit, so every remainder of the last chunk occurs.
 
 The time blocks of the matrix path must give what one product per period
 gives, for series that end on either side of a block boundary.
+
+The orbit block of the symmetrised operator S = K^1/2 I K^1/2, which the
+sweep's IPR is taken in, must be symmetric and give U+'s eigenphases and, in
+the frame K^-1/2, the IPR of U+'s own orbit block.
 """
 
 import math
@@ -19,7 +23,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import per_qubit_floquet, vgue_factors, vgue_pair
+from _oracles import match_phase_multisets, per_qubit_floquet, vgue_factors, vgue_pair
 from echochain.chain import (
     KICK_CHUNK,
     ChainParams,
@@ -28,13 +32,14 @@ from echochain.chain import (
     FloquetPair,
     apply_floquet,
     build_floquet_pair,
+    kick_power,
 )
 from echochain.coherent import CoherentSpec, build_coherent_state
 from echochain.config import RunConfig
 from echochain.dynamics import PERIODS_PER_BLOCK, fidelity_series
-from echochain.linalg import RngStream
+from echochain.linalg import RngStream, unitary_eig
 from echochain.sweep import run_series
-from echochain.symmetry import is_uniform, orbit_blocks
+from echochain.symmetry import circular_gaps, ipr, is_uniform, orbit_blocks, symmetrized_block
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -168,3 +173,29 @@ def test_time_blocks_match_one_period_steps(n, b_perp, b_par, eps, coupling, t, 
     reference = _one_period_steps(blocks, states, t)
     assert f.shape == reference.shape
     assert np.max(np.abs(f - reference)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(2, 8), field, field, st.floats(0.0, 0.3),
+    st.sampled_from([Coupling.VJ, Coupling.VB, Coupling.V0, Coupling.V01]),
+    st.lists(specs, min_size=1, max_size=4),
+)
+def test_symmetrized_block_gives_the_plus_block_ipr(n, b_perp, b_par, eps, coupling, batch):
+    # At N = 2 a perturbed site or bond leaves the identity basis.
+    plus = build_floquet_pair(ChainParams(n, b_perp, b_par, eps, coupling)).plus
+    basis, block = symmetrized_block(plus)
+    plus_basis, (plus_block,) = orbit_blocks([plus])
+    assert np.array_equal(basis, plus_basis)
+    assert np.max(np.abs(block - block.T)) <= 1e-14
+    eig, plus_eig = unitary_eig(block), unitary_eig(plus_block)
+    assert eig.vectors.dtype == np.float64
+    assert match_phase_multisets(eig.values, plus_eig.values, 1e-13) <= 1e-13
+    # Near a gap g, rounding of 1e-16 turns eigenvectors by about 1e-16 / g, and the
+    # IPR with them: 1e-12 holds where every gap exceeds 1e-3.
+    if circular_gaps(plus_eig.values).min() > 1e-3:
+        psis = np.stack([build_coherent_state(spec, n) for spec in batch], axis=1)
+        framed = basis.T @ apply_floquet(kick_power(plus, -0.5), psis)
+        np.testing.assert_allclose(
+            ipr(framed, eig), ipr(basis.T @ psis, plus_eig), rtol=1e-12, atol=0.0
+        )

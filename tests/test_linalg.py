@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import echochain.linalg as linalg_module
 from echochain import RngStream
 from echochain.linalg import (
     CAYLEY_SHIFTS,
@@ -16,7 +17,9 @@ from echochain.linalg import (
     unitary_phases,
 )
 from echochain.chain import ChainParams, Coupling, assemble_dense, build_floquet_pair
-from echochain.symmetry import DEGENERACY_GAP, build_sector, circular_gaps, ipr, sector_matrix
+from echochain.symmetry import (
+    DEGENERACY_GAP, build_sector, circular_gaps, ipr, sector_matrix, symmetrized_block,
+)
 
 from _oracles import (
     charpoly_eigenvalues,
@@ -66,6 +69,7 @@ def test_hermitian_expm_rejects_nonhermitian():
 def test_hermitian_expm_gue_against_charpoly_oracle():
     h = gue_raw(8, RngStream(21, 0))
     eig = unitary_eig(hermitian_expm(h))
+    assert eig.vectors.dtype == np.complex128  # not symmetric: the complex eigh
     roots = charpoly_eigenvalues(h)
     assert np.abs(np.imag(roots)).max() < 1e-8
     assert match_phase_multisets(eig.values, -np.real(roots), 1e-8) < 1e-8
@@ -106,6 +110,12 @@ def test_unitary_eig_sorted_and_reconstructs():
     assert eig.residual < 1e-10
 
 
+def _symmetric_unitary(phases, seed):
+    """Q diag(e^{i phases}) Q^T with Q real orthogonal."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(phases),) * 2))
+    return (q * np.exp(1j * np.asarray(phases))) @ q.T
+
+
 def _full(params):
     return assemble_dense(build_floquet_pair(params).plus)
 
@@ -119,6 +129,10 @@ ORACLE_MATRICES = {
     "VJ-N10-k1-block": lambda: sector_matrix(
         build_floquet_pair(ChainParams(10, 1.0, 1.4, 0.1, Coupling.VJ)).plus, build_sector(10, 1)
     ),
+    "symmetric-N40": lambda: _symmetric_unitary(np.random.default_rng(4).uniform(-3.1, 3.1, 40), 4),
+    "V0-N8-symmetrized-block": lambda: symmetrized_block(
+        build_floquet_pair(ChainParams(8, 1.0, 1.4, 0.1, Coupling.V0)).plus
+    )[1],
 }
 
 
@@ -130,13 +144,18 @@ def test_unitary_eig_against_joint_diagonalization_oracle():
         assert match_phase_multisets(eig.values, oracle_phases, 1e-8) < 1e-8, name
 
 
-@pytest.mark.parametrize("name", ["V0-N8-full", "VGUE-N7-draw", "VJ-N10-k1-block"])
+@pytest.mark.parametrize(
+    "name",
+    ["V0-N8-full", "VGUE-N7-draw", "VJ-N10-k1-block", "symmetric-N40", "V0-N8-symmetrized-block"],
+)
 def test_unitary_eig_against_schur_oracle(name):
     u = ORACLE_MATRICES[name]()
     ref_phases, ref_vectors = schur_eig_ref(u)
     # The IPR is basis independent only where no two phases (nearly) coincide.
     assert circular_gaps(ref_phases).min() > 1e-6
     eig = unitary_eig(u)
+    # A symmetric unitary Q e^{i phi} Q^T has real eigenvectors, and only it gets them.
+    assert (eig.vectors.dtype == np.float64) == (np.abs(u - u.T).max() < 1e-14)
     assert match_phase_multisets(eig.values, ref_phases, 1e-12) < 1e-12
     assert match_phase_multisets(unitary_phases(u), ref_phases, 1e-12) < 1e-12
     assert np.all(np.diff(unitary_phases(u)) >= 0.0)
@@ -167,17 +186,24 @@ FIRST_SHIFT = CAYLEY_SHIFTS[0]
     ],
     ids=["on-shift", "1e-15-off", "degenerate-pair"],
 )
-@pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+@pytest.mark.parametrize(
+    "rotated", [None, "unitary", "orthogonal"], ids=["diagonal", "rotated", "orthogonal"]
+)
 def test_unitary_eig_with_phases_on_the_shift(phases, rotated):
     # 1 - zU is singular up to rounding, so the inverse returns entries of
     # 1e15 to 1e17 instead of raising; the norm cap must move on to the next
-    # shift. The rotated copy also mixes that error into every eigenvector.
+    # shift. The rotated copies also mix that error into every eigenvector; the
+    # diagonal and the orthogonally rotated one are symmetric (real route).
     phases = np.array(phases)
     u = np.diag(np.exp(1j * phases))
-    if rotated:
+    if rotated == "unitary":
         q = _random_unitary(len(phases), 8)
         u = q @ u @ q.conj().T
+    elif rotated == "orthogonal":
+        u = _symmetric_unitary(phases, 8)
+    assert linalg_module._cayley(u)[0] == CAYLEY_SHIFTS[1]
     eig = unitary_eig(u)
+    assert (eig.vectors.dtype == np.float64) == (rotated != "unitary")
     assert np.abs(eig.values - np.sort(phases)).max() < 1e-12
     assert np.abs(unitary_phases(u) - np.sort(phases)).max() < 1e-12
     assert eig.residual < 1e-10

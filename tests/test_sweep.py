@@ -245,6 +245,17 @@ def test_gate_path_series_builds_no_block(coupling, monkeypatch):
     run_saturation(config, CoherentSpec(1.0, 2.0), [20, 40])
 
 
+@pytest.mark.parametrize("coupling", [Coupling.V0, Coupling.V01])
+def test_gate_path_sweep_builds_no_plus_block(coupling, monkeypatch):
+    # The IPR comes from the symmetrised operator's block; U+'s own is never built.
+    def refuse(ops):
+        raise AssertionError("sweep of a gate-path coupling built a U+- block")
+
+    monkeypatch.setattr(sweep_module, "orbit_blocks", refuse)
+    rows = run_sweep(_config(n_qubits=6, coupling=coupling, seed=2, t_cut=20))
+    assert all(0.0 < row.ipr <= 1.0 for row in rows)
+
+
 @pytest.mark.parametrize("coupling", [Coupling.VJ, Coupling.V0, Coupling.VGUE])
 def test_unperturbed_series_and_sweep_stay_exactly_one(coupling, monkeypatch):
     # epsilon = 0 makes one uniform operator: one shared block, and f = 1 with no step.

@@ -32,12 +32,15 @@ from echochain.symmetry import (
     sector_spacings,
     spacing_histogram,
     spacing_statistics,
+    symmetrized_block,
 )
 
 from _oracles import (
     brody_pdf,
     brody_sample,
     dense_floquet,
+    dense_kick_factor,
+    ising_phase_matrix,
     match_phase_multisets,
     necklace_count,
     orbits_ref,
@@ -218,6 +221,22 @@ def test_orbit_blocks_are_exact_compressions(coupling, n_qubits):
     for u, block in zip(oracles, blocks):
         # U maps the span of the basis onto itself: U C = C B.
         assert np.abs(u @ basis - basis @ block).max() < 1e-13
+
+
+@pytest.mark.parametrize("n_qubits", [2, 5, 6, 7])
+@pytest.mark.parametrize("coupling", [Coupling.VJ, Coupling.VB, Coupling.V0, Coupling.V01])
+def test_symmetrized_block_is_an_exact_compression(coupling, n_qubits):
+    # S = K^1/2 I K^1/2 from the expm-built half kicks: symmetric, U's conjugate by
+    # K^1/2, and mapping the span of U's orbit basis onto itself.
+    op = build_floquet_pair(ChainParams(n_qubits, 0.9, 1.3, 0.2, coupling)).plus
+    half = dense_kick_factor([(bx / 2.0, bz / 2.0) for bx, bz in op.kick_fields], n_qubits)
+    s = half @ ising_phase_matrix(op.bond_strengths, n_qubits) @ half
+    u = dense_floquet(op.kick_fields, op.bond_strengths, n_qubits)
+    assert np.abs(s - s.T).max() < 1e-14
+    assert np.abs(half @ s @ half.conj().T - u).max() < 1e-13
+    basis, block = symmetrized_block(op)
+    assert np.array_equal(basis, orbit_blocks([op])[0])
+    assert np.abs(s @ basis - basis @ block).max() < 1e-13
 
 
 def test_orbit_block_of_a_leaking_operator_raises(monkeypatch):

@@ -110,15 +110,6 @@ class FloquetOperator:
         return tuple((q, reduce(np.kron, g[q : q + KICK_CHUNK][::-1])) for q in chunks)
 
 
-def kick_power(op: FloquetOperator, power: float) -> FloquetOperator:
-    """K^power of ``op``'s kick layer K: every kick field times ``power``, and no bonds.
-
-    Each gate exp(-i p (bx sigma_x + bz sigma_z)) is the p-th power of its kick.
-    """
-    fields = tuple((power * bx, power * bz) for bx, bz in op.kick_fields)
-    return FloquetOperator(fields, (0.0,) * op.n_qubits)
-
-
 @dataclass(frozen=True, eq=False)
 class FloquetPair:
     """U+ and U-: the operators, or matrices (VGUE's dense U+-, or blocks from ``orbit_blocks``)."""

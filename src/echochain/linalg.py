@@ -23,7 +23,11 @@ UNITARY_TOL = 1e-9
 # 2r for U. So |C| <= 1e4 keeps the eigenvector residual of U near 1e-11, a tenth
 # of the gap below which eigenphases count as degenerate, and the phase error
 # of the eigenvalue-only route near 1e-13. Measured on a V0 chain at N=10: a
-# residual of 1.2e-15 * max|w|.
+# residual of 1.2e-15 * max|w|. The cap is tested as |X|_F <= CAYLEY_NORM_CAP / 2
+# on the inverse X = (1 - zU)^-1, before C = i(X - X^dag) is formed; it implies
+# |C|_F <= CAYLEY_NORM_CAP. A test of |C| alone passes a shift on an eigenphase of
+# a symmetric unitary: there the rounding can make X's blow-up Hermitian, which
+# cancels in C and leaves it wrong by O(1).
 CAYLEY_NORM_CAP = 1e4
 # eigh's relative rounding, c * 1.1e-16 above. The inverse X = (1 - zU)^-1
 # behind C is rounded as well: the computed X is the exact inverse for some
@@ -109,19 +113,20 @@ def _cayley(u: np.ndarray) -> tuple[float, np.ndarray]:
     C is Hermitian for unitary U and shares its eigenvectors; an eigenphase
     phi maps to the eigenvalue w = -cot((phi - a)/2). A phase near the shift
     makes |w|, and with it eigh's rounding error, large: such a shift is
-    passed over for the next one in ``CAYLEY_SHIFTS``.
+    passed over for the next one in ``CAYLEY_SHIFTS``. The test is made on X:
+    the Hermitian part that C keeps can cancel X's blow-up (see CAYLEY_NORM_CAP).
     """
     for shift in CAYLEY_SHIFTS:
         try:
             x = np.linalg.inv(np.eye(len(u)) - np.exp(-1j * shift) * u)
         except np.linalg.LinAlgError:  # a phase exactly on the shift
             continue
+        if np.linalg.norm(x) > CAYLEY_NORM_CAP / 2:
+            continue
         # C = 2iX - i with X = (1 - zU)^-1, so (C + C^dag)/2 = i(X - X^dag).
         c = x - x.conj().T
         c *= 1j
-        del x
-        if np.linalg.norm(c) <= CAYLEY_NORM_CAP:
-            return shift, c
+        return shift, c
     raise np.linalg.LinAlgError(
         f"none of the {len(CAYLEY_SHIFTS)} Cayley shifts keeps the transform's norm "
         f"within {CAYLEY_NORM_CAP:.0e}: an eigenphase lies on every shift"

@@ -8,9 +8,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .chain import (
-    Coupling, FloquetOperator, FloquetPair, apply_floquet, build_floquet_pair, kick_power,
-)
+from .chain import Coupling, FloquetOperator, FloquetPair, build_floquet_pair
 from .coherent import CoherentSpec, build_coherent_state, enumerate_grid
 from .config import RunConfig
 from .dynamics import (
@@ -24,9 +22,9 @@ from .symmetry import (
     ipr,
     is_uniform,
     orbit_blocks,
+    orbit_eig,
     spacing_histogram,
     spacing_statistics,
-    symmetrized_block,
 )
 
 # Memory budget of one batch of grid points. Per period, each point holds 16 B of
@@ -72,33 +70,30 @@ def _propagators(config: RunConfig, samples: int) -> tuple:
 
 
 def _prepare_context(config: RunConfig) -> tuple:
-    """(pairs as they step, per pair (IPR eigensystem, frame or None), orbit basis or None).
+    """(pairs as they step, the IPR eigensystem of each pair's U+, orbit basis or None).
 
-    The IPR amplitudes are <u_n|psi> over the eigenvectors u_n of U+. An operator
-    U+ = K^1/2 S K^-1/2 (``symmetrized_block``) has u_n = K^1/2 s_n, so they are
-    <s_n|K^-1/2 psi>: the eigensystem is the real one of S's orbit block, and the frame
-    K^-1/2 maps each state before its coordinates in that block's basis are taken. The
-    uniform operators step in the same basis. VGUE's dense U+ has no symmetric form:
-    its own eigensystem, with no frame and no basis.
+    The IPR amplitudes are <u_n|psi> over the eigenvectors u_n of U+. An operator U+
+    gives them in the coordinates C^T psi of the orbit basis C of ``orbit_eig``, the
+    basis the uniform operators also step in. VGUE's dense U+ has no orbit basis: its
+    own eigensystem per sample, on the full state.
     """
     _, built, pairs = _propagators(config, config.gue_samples)
     plus = built[0].plus
     if not isinstance(plus, FloquetOperator):
-        return pairs, tuple((unitary_eig(pair.plus), None) for pair in pairs), None
-    basis, block = symmetrized_block(plus)
-    return pairs, ((unitary_eig(block), kick_power(plus, -0.5)),) * len(pairs), basis
+        return pairs, tuple(unitary_eig(pair.plus) for pair in pairs), None
+    basis, eig = orbit_eig(plus)
+    return pairs, (eig,) * len(pairs), basis
 
 
 def _rows_for_batch(config: RunConfig, context: tuple, specs: list[CoherentSpec]) -> list[SweepRow]:
     pairs, eigs, basis = context
     psis = np.stack([build_coherent_state(spec, config.n_qubits) for spec in specs], axis=1)
-    in_blocks = basis is not None and not isinstance(pairs[0].plus, FloquetOperator)
-    states = basis.T @ psis if in_blocks else psis
+    coords = psis if basis is None else basis.T @ psis
+    states = psis if isinstance(pairs[0].plus, FloquetOperator) else coords
     per_sample = []
-    for pair, (eig, frame) in zip(pairs, eigs):
-        framed = psis if frame is None else apply_floquet(frame, psis)
+    for pair, eig in zip(pairs, eigs):
         # ipr() refuses coordinates that lost norm: a leaking state fails before any period.
-        state_ipr = ipr(framed if basis is None else basis.T @ framed, eig)
+        state_ipr = ipr(coords, eig)
         series = fidelity_series(pair, states, config.t_cut)
         report = compute_report(series, normalize=config.normalize_by_tcut)
         tail = asymptotic_fidelity(series, config.tail_window_fraction)

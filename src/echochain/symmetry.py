@@ -5,13 +5,13 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .chain import DENSE_DIM_CAP, FloquetOperator, apply_floquet, kick_power
-from .linalg import EigenSystem, norm_deficit, unitary_phases
+from .chain import DENSE_DIM_CAP, FloquetOperator, apply_floquet
+from .linalg import EigenSystem, norm_deficit, unitary_eig, unitary_phases
 
 SECTOR_UNITARY_TOL = 1e-9
 PROJECTION_DEFICIT_TOL = 1e-10
@@ -199,19 +199,21 @@ def orbit_blocks(ops: Sequence[FloquetOperator]) -> tuple[np.ndarray, tuple[np.n
     return basis, tuple(blocks[op] for op in ops)
 
 
-def symmetrized_block(op: FloquetOperator) -> tuple[np.ndarray, np.ndarray]:
-    """(C, C^T S C) for S = K^1/2 I K^1/2, the symmetric form of U = K I; C as for U.
+def orbit_eig(op: FloquetOperator) -> tuple[np.ndarray, EigenSystem]:
+    """(C, the eigensystem of U's orbit block C^T U C), C as for ``orbit_blocks([op])``.
 
-    U's Ising phases I act first, then its kicks K, so U = K^1/2 S K^-1/2.
-    Every kick gate is a symmetric matrix and I is diagonal, so S = S^T
-    (Bertini, Kos and Prosen, PRL 121, 264101 (2018)); C is real, so the
-    block is a symmetric unitary with U's eigenphases. S C is one apply of
-    K^1/2, then one of K^1/2 after the Ising phases.
+    U's Ising phases I act first, then its kicks K, so U = I^-1/2 S I^1/2 with
+    S = I^1/2 K I^1/2. Every kick gate is a symmetric matrix and I is diagonal, so
+    S = S^T (Bertini, Kos and Prosen, PRL 121, 264101 (2018)); C is real, so S's block
+    is a symmetric unitary, which ``unitary_eig`` solves with real vectors s. I^1/2 is
+    one phase h on each orbit, so C^T S C = h C^T K I^1/2 C (one apply) and U's block
+    has the eigenvectors conj(h) s (the residual stays S's).
     """
     basis, block = _orbit_basis([op])
-    half = kick_power(op, 0.5)
-    after_ising = FloquetOperator(half.kick_fields, op.bond_strengths)
-    return basis, block(apply_floquet(after_ising, apply_floquet(half, basis)))
+    half = FloquetOperator(op.kick_fields, tuple(j / 2.0 for j in op.bond_strengths))
+    h = half._ising_phases @ basis**2
+    eig = unitary_eig(h[:, np.newaxis] * block(apply_floquet(half, basis)))
+    return basis, replace(eig, vectors=h.conj()[:, np.newaxis] * eig.vectors)
 
 
 def ipr(states: np.ndarray, eig: EigenSystem) -> float | np.ndarray:

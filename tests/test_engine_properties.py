@@ -12,9 +12,10 @@ chunks and one more qubit, so every remainder of the last chunk occurs.
 The time blocks of the matrix path must give what one product per period
 gives, for series that end on either side of a block boundary.
 
-The orbit block of the symmetrised operator S = K^1/2 I K^1/2, which the
-sweep's IPR is taken in, must be symmetric and give U+'s eigenphases and, in
-the frame K^-1/2, the IPR of U+'s own orbit block.
+The orbit block of the symmetrised operator S = I^1/2 K I^1/2, which the
+sweep's IPR eigensystem is solved from, must be symmetric with real
+eigenvectors, and ``orbit_eig`` must give the eigenphases, eigenvectors and
+IPR of U+'s own orbit block.
 """
 
 import math
@@ -32,14 +33,14 @@ from echochain.chain import (
     FloquetPair,
     apply_floquet,
     build_floquet_pair,
-    kick_power,
 )
 from echochain.coherent import CoherentSpec, build_coherent_state
 from echochain.config import RunConfig
 from echochain.dynamics import PERIODS_PER_BLOCK, fidelity_series
 from echochain.linalg import RngStream, unitary_eig
 from echochain.sweep import run_series
-from echochain.symmetry import circular_gaps, ipr, is_uniform, orbit_blocks, symmetrized_block
+from echochain.symmetry import circular_gaps, ipr, is_uniform, orbit_blocks
+from test_symmetry import solved_s_block
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -184,18 +185,19 @@ def test_time_blocks_match_one_period_steps(n, b_perp, b_par, eps, coupling, t, 
 def test_symmetrized_block_gives_the_plus_block_ipr(n, b_perp, b_par, eps, coupling, batch):
     # At N = 2 a perturbed site or bond leaves the identity basis.
     plus = build_floquet_pair(ChainParams(n, b_perp, b_par, eps, coupling)).plus
-    basis, block = symmetrized_block(plus)
+    basis, block, s_eig, eig = solved_s_block(plus)
     plus_basis, (plus_block,) = orbit_blocks([plus])
     assert np.array_equal(basis, plus_basis)
     assert np.max(np.abs(block - block.T)) <= 1e-14
-    eig, plus_eig = unitary_eig(block), unitary_eig(plus_block)
-    assert eig.vectors.dtype == np.float64
+    assert s_eig.vectors.dtype == np.float64
+    plus_eig = unitary_eig(plus_block)
     assert match_phase_multisets(eig.values, plus_eig.values, 1e-13) <= 1e-13
+    # orbit_eig's vectors are U+'s own block eigenvectors: B W = W e^{i phi}.
+    residual = plus_block @ eig.vectors - eig.vectors * np.exp(1j * eig.values)
+    assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-12
     # Near a gap g, rounding of 1e-16 turns eigenvectors by about 1e-16 / g, and the
     # IPR with them: 1e-12 holds where every gap exceeds 1e-3.
     if circular_gaps(plus_eig.values).min() > 1e-3:
         psis = np.stack([build_coherent_state(spec, n) for spec in batch], axis=1)
-        framed = basis.T @ apply_floquet(kick_power(plus, -0.5), psis)
-        np.testing.assert_allclose(
-            ipr(framed, eig), ipr(basis.T @ psis, plus_eig), rtol=1e-12, atol=0.0
-        )
+        coords = basis.T @ psis
+        np.testing.assert_allclose(ipr(coords, eig), ipr(coords, plus_eig), rtol=1e-12, atol=0.0)

@@ -17,9 +17,7 @@ from echochain.linalg import (
     unitary_phases,
 )
 from echochain.chain import ChainParams, Coupling, assemble_dense, build_floquet_pair
-from echochain.symmetry import (
-    DEGENERACY_GAP, build_sector, circular_gaps, ipr, sector_matrix, symmetrized_block,
-)
+from echochain.symmetry import DEGENERACY_GAP, build_sector, circular_gaps, ipr, sector_matrix
 
 from _oracles import (
     charpoly_eigenvalues,
@@ -30,6 +28,7 @@ from _oracles import (
     semicircle_cdf,
     taylor_expm,
 )
+from test_symmetry import solved_s_block
 
 
 def test_inner_product_normalized_vector():
@@ -130,7 +129,7 @@ ORACLE_MATRICES = {
         build_floquet_pair(ChainParams(10, 1.0, 1.4, 0.1, Coupling.VJ)).plus, build_sector(10, 1)
     ),
     "symmetric-N40": lambda: _symmetric_unitary(np.random.default_rng(4).uniform(-3.1, 3.1, 40), 4),
-    "V0-N8-symmetrized-block": lambda: symmetrized_block(
+    "V0-N8-symmetrized-block": lambda: solved_s_block(
         build_floquet_pair(ChainParams(8, 1.0, 1.4, 0.1, Coupling.V0)).plus
     )[1],
 }
@@ -216,6 +215,21 @@ def test_exactly_singular_shift_moves_on(monkeypatch):
     u = np.diag([1.0, 1j, -1.0])
     assert np.allclose(unitary_eig(u).values, [0.0, np.pi / 2.0, np.pi], rtol=0.0, atol=1e-15)
     assert np.allclose(unitary_phases(u), [0.0, np.pi / 2.0, np.pi], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_shift_on_a_phase_of_a_symmetric_unitary_is_refused(seed, monkeypatch):
+    # With every shift on an eigenphase of Q e^{i phi} Q^T, rounding can make the
+    # blow-up of X = (1 - zU)^-1 Hermitian: it cancels in C = i(X - X^dag), which
+    # then passes a cap on |C| and is wrong by O(1). The cap must see it in X.
+    g = np.random.default_rng(1000 + seed)
+    phases = g.uniform(-np.pi, np.pi, int(g.integers(6, 36)))
+    u = _symmetric_unitary(phases, seed)
+    monkeypatch.setattr("echochain.linalg.CAYLEY_SHIFTS", tuple(phases))
+    with pytest.raises(np.linalg.LinAlgError, match="Cayley shifts"):
+        unitary_eig(u)
+    with pytest.raises(np.linalg.LinAlgError, match="Cayley shifts"):
+        unitary_phases(u)
 
 
 def test_unitary_eig_raises_when_every_shift_meets_a_phase():

@@ -8,8 +8,10 @@ import pytest
 import echochain.dynamics as dynamics_module
 import echochain.sweep as sweep_module
 import echochain.symmetry as symmetry_module
-from echochain.chain import ChainParams, Coupling, FloquetPair, assemble_dense, build_floquet_pair
-from echochain.coherent import CoherentSpec, build_coherent_state
+from echochain.chain import (
+    ChainParams, Coupling, FloquetPair, apply_floquet, assemble_dense, build_floquet_pair,
+)
+from echochain.coherent import CoherentSpec, build_coherent_state, enumerate_grid
 from echochain.config import IprBasisChoice, RunConfig
 from echochain.dynamics import FidelitySeries, asymptotic_fidelity, fidelity_series, write_series
 from echochain.linalg import RngStream, unitary_eig
@@ -254,6 +256,35 @@ def test_gate_path_sweep_builds_no_plus_block(coupling, monkeypatch):
     monkeypatch.setattr(sweep_module, "orbit_blocks", refuse)
     rows = run_sweep(_config(n_qubits=6, coupling=coupling, seed=2, t_cut=20))
     assert all(0.0 < row.ipr <= 1.0 for row in rows)
+
+
+@pytest.mark.parametrize("coupling, applies", [(Coupling.V0, 1), (Coupling.V01, 1), (Coupling.VJ, 3)])
+def test_context_and_batches_make_only_the_applies_they_need(coupling, applies, monkeypatch):
+    # The context: the S block's one apply, and on the block route one per block of U+-.
+    # A batch: applies only where fidelity_series steps the gates.
+    calls, stepping = [], []
+
+    def counted(op, state):
+        calls.append(bool(stepping))
+        return apply_floquet(op, state)
+
+    def series(pair, psi, t_cut):
+        stepping.append(True)
+        try:
+            return fidelity_series(pair, psi, t_cut)
+        finally:
+            stepping.pop()
+
+    for module in (sweep_module, symmetry_module, dynamics_module):
+        monkeypatch.setattr(module, "apply_floquet", counted, raising=False)
+    monkeypatch.setattr(sweep_module, "fidelity_series", series)
+    config = _config(n_qubits=6, coupling=coupling, seed=2, t_cut=20)
+    context = sweep_module._prepare_context(config)
+    assert calls == [False] * applies
+    calls.clear()
+    sweep_module._rows_for_batch(config, context, enumerate_grid(config.grid)[:3])
+    assert all(calls)
+    assert bool(calls) == (coupling is not Coupling.VJ)  # VJ steps its blocks
 
 
 @pytest.mark.parametrize("coupling", [Coupling.VJ, Coupling.V0, Coupling.VGUE])

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from echochain.symmetry import (
     sector_spacings,
     spacing_histogram,
     spacing_statistics,
-    symmetrized_block,
 )
 
 from _oracles import (
@@ -223,18 +223,32 @@ def test_orbit_blocks_are_exact_compressions(coupling, n_qubits):
         assert np.abs(u @ basis - basis @ block).max() < 1e-13
 
 
+def solved_s_block(op):
+    """(C, the block C^T S C that ``orbit_eig`` solves, its eigensystem, ``orbit_eig``'s)."""
+    solved = []
+
+    def spy(block):
+        solved.append((block, unitary_eig(block)))
+        return solved[-1][1]
+
+    with mock.patch.object(symmetry_module, "unitary_eig", spy):
+        basis, eig = symmetry_module.orbit_eig(op)
+    [(block, s_eig)] = solved
+    return basis, block, s_eig, eig
+
+
 @pytest.mark.parametrize("n_qubits", [2, 5, 6, 7])
 @pytest.mark.parametrize("coupling", [Coupling.VJ, Coupling.VB, Coupling.V0, Coupling.V01])
 def test_symmetrized_block_is_an_exact_compression(coupling, n_qubits):
-    # S = K^1/2 I K^1/2 from the expm-built half kicks: symmetric, U's conjugate by
-    # K^1/2, and mapping the span of U's orbit basis onto itself.
+    # S = I^1/2 K I^1/2 from the expm-built kicks: symmetric, U's conjugate by
+    # I^1/2, and mapping the span of U's orbit basis onto itself.
     op = build_floquet_pair(ChainParams(n_qubits, 0.9, 1.3, 0.2, coupling)).plus
-    half = dense_kick_factor([(bx / 2.0, bz / 2.0) for bx, bz in op.kick_fields], n_qubits)
-    s = half @ ising_phase_matrix(op.bond_strengths, n_qubits) @ half
+    half = ising_phase_matrix([j / 2.0 for j in op.bond_strengths], n_qubits)
+    s = half @ dense_kick_factor(op.kick_fields, n_qubits) @ half
     u = dense_floquet(op.kick_fields, op.bond_strengths, n_qubits)
     assert np.abs(s - s.T).max() < 1e-14
-    assert np.abs(half @ s @ half.conj().T - u).max() < 1e-13
-    basis, block = symmetrized_block(op)
+    assert np.abs(half.conj().T @ s @ half - u).max() < 1e-13
+    basis, block, _, _ = solved_s_block(op)
     assert np.array_equal(basis, orbit_blocks([op])[0])
     assert np.abs(s @ basis - basis @ block).max() < 1e-13
 

@@ -77,8 +77,18 @@ def _axis_values(lo: float, hi: float, step: float) -> tuple[float, ...]:
     return tuple(values)
 
 
-def enumerate_grid(grid: SphereGrid) -> list[CoherentSpec]:
-    """Theta-major, then phi; pole rows are kept even though degenerate."""
+def check_grid(grid: SphereGrid) -> None:
+    """Raises what ``enumerate_grid`` would, from the phis at thetas[0], then the thetas at
+    phis[0]: a point is valid iff its theta and its phi are, so the grid's size never enters."""
     if not grid.thetas or not grid.phis:
         raise ValueError("empty grid range")
+    for phi in grid.phis:
+        CoherentSpec(grid.thetas[0], phi)
+    for theta in grid.thetas:
+        CoherentSpec(theta, grid.phis[0])
+
+
+def enumerate_grid(grid: SphereGrid) -> list[CoherentSpec]:
+    """Theta-major, then phi; pole rows are kept even though degenerate."""
+    check_grid(grid)
     return [CoherentSpec(t, p) for t in grid.thetas for p in grid.phis]

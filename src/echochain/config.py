@@ -8,7 +8,7 @@ from dataclasses import MISSING, dataclass, fields
 from typing import get_type_hints
 
 from .chain import ChainParams, Coupling
-from .coherent import SphereGrid, enumerate_grid
+from .coherent import SphereGrid, check_grid
 
 
 class ConfigError(ValueError):
@@ -59,7 +59,7 @@ class RunConfig:
         # Surface parameter errors as config errors at parse time.
         try:
             self.chain_params
-            enumerate_grid(self.grid)
+            check_grid(self.grid)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -73,9 +73,9 @@ def _prepare_context(config: RunConfig) -> tuple:
     """(pairs as they step, the IPR eigensystem of each pair's U+, orbit basis or None).
 
     The IPR amplitudes are <u_n|psi> over the eigenvectors u_n of U+. An operator U+
-    gives them in the coordinates C^T psi of the orbit basis C of ``orbit_eig``, the
-    basis the uniform operators also step in. VGUE's dense U+ has no orbit basis: its
-    own eigensystem per sample, on the full state.
+    gives them in the coordinates C^T psi over the eigenvectors of its own orbit block
+    (``orbit_eig``, one apply of U+), in the basis the uniform operators also step in.
+    VGUE's dense U+ has no orbit basis: its own eigensystem per sample, on the full state.
     """
     _, built, pairs = _propagators(config, config.gue_samples)
     plus = built[0].plus

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .chain import DENSE_DIM_CAP, FloquetOperator, apply_floquet
+from .chain import DENSE_DIM_CAP, FloquetOperator, _ising_angles, apply_floquet
 from .linalg import EigenSystem, norm_deficit, unitary_eig, unitary_phases
 
 SECTOR_UNITARY_TOL = 1e-9
@@ -156,8 +156,8 @@ def is_uniform(ops: Sequence[FloquetOperator]) -> bool:
     return len(_site_symmetries(ops)) == 2 * ops[0].n_qubits
 
 
-def _orbit_basis(ops: Sequence[FloquetOperator]) -> tuple[np.ndarray, Callable]:
-    """(C, the map from the images W = U C of a unitary U to its block C^T U C).
+def orbit_blocks(ops: Sequence[FloquetOperator]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(C, C^T U C for each U in ``ops``), one apply of each operator to C.
 
     C is real with one column per orbit of the site permutations that leave all
     of ``ops`` unchanged (``_site_symmetries``): translations and reflections for
@@ -165,7 +165,8 @@ def _orbit_basis(ops: Sequence[FloquetOperator]) -> tuple[np.ndarray, Callable]:
     identity alone, so C is the identity). A column is its orbit's indicator over
     sqrt(orbit size), in the order of the orbits' smallest members; every product
     of identical qubit states lies in their span. A block must come out unitary.
-    More than DENSE_DIM_CAP orbits are refused before C is formed.
+    More than DENSE_DIM_CAP orbits are refused before C is formed. An operator
+    listed twice (the one object of an epsilon = 0 pair) gets one block.
     """
     images = _permuted_states(ops[0].n_qubits, _site_symmetries(ops))
     index = np.arange(ops[0].dim)
@@ -174,45 +175,32 @@ def _orbit_basis(ops: Sequence[FloquetOperator]) -> tuple[np.ndarray, Callable]:
         raise ValueError(f"dense assembly refused beyond dimension {DENSE_DIM_CAP}")
     basis = np.zeros((len(index), len(sizes)))
     basis[index, orbit] = 1.0 / np.sqrt(sizes[orbit])
-    # C has one nonzero per row, so C^T W sums the rows of W over each orbit.
+    # C has one nonzero per row, so C^T U C sums the rows of U C over each orbit.
     members, starts = np.argsort(orbit, kind="stable"), np.cumsum(sizes) - sizes
-
-    def block(images: np.ndarray) -> np.ndarray:
-        sums = np.add.reduceat(images[members], starts)
-        compressed = (1.0 / np.sqrt(sizes))[:, np.newaxis] * sums
-        _require_no_leak(compressed, "orbit block")
-        return compressed
-
-    return basis, block
-
-
-def orbit_blocks(ops: Sequence[FloquetOperator]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """(C, C^T U C for each U in ``ops``), C the orbit basis of ``_orbit_basis``.
-
-    Each block comes from one apply of its operator to C; an operator listed
-    twice (the one object of an epsilon = 0 pair) gets one block.
-    """
-    basis, block = _orbit_basis(ops)
     blocks = dict.fromkeys(ops)  # FloquetOperator hashes by identity (eq=False)
     for op in blocks:
-        blocks[op] = block(apply_floquet(op, basis))
+        sums = np.add.reduceat(apply_floquet(op, basis)[members], starts)
+        blocks[op] = (1.0 / np.sqrt(sizes))[:, np.newaxis] * sums
+        _require_no_leak(blocks[op], "orbit block")
     return basis, tuple(blocks[op] for op in ops)
 
 
 def orbit_eig(op: FloquetOperator) -> tuple[np.ndarray, EigenSystem]:
-    """(C, the eigensystem of U's orbit block C^T U C), C as for ``orbit_blocks([op])``.
+    """(C, the eigensystem of U's orbit block B = C^T U C), both from ``orbit_blocks([op])``.
 
     U's Ising phases I act first, then its kicks K, so U = I^-1/2 S I^1/2 with
     S = I^1/2 K I^1/2. Every kick gate is a symmetric matrix and I is diagonal, so
     S = S^T (Bertini, Kos and Prosen, PRL 121, 264101 (2018)); C is real, so S's block
     is a symmetric unitary, which ``unitary_eig`` solves with real vectors s. I^1/2 is
-    one phase h on each orbit, so C^T S C = h C^T K I^1/2 C (one apply) and U's block
-    has the eigenvectors conj(h) s (the residual stays S's).
+    one phase h on each orbit, so C^T S C = h B conj(h), and B has the eigenvectors
+    conj(h) s with S's residual.
     """
-    basis, block = _orbit_basis([op])
-    half = FloquetOperator(op.kick_fields, tuple(j / 2.0 for j in op.bond_strengths))
-    h = half._ising_phases @ basis**2
-    eig = unitary_eig(h[:, np.newaxis] * block(apply_floquet(half, basis)))
+    basis, (block,) = orbit_blocks([op])
+    # I^1/2 at each orbit's smallest member, the first nonzero of its column.
+    h = np.exp(-0.5j * _ising_angles(op.n_qubits, op.bond_strengths)[basis.argmax(axis=0)])
+    # Rebound, so that B is freed before the solve.
+    block = h[:, np.newaxis] * block * h.conj()
+    eig = unitary_eig(block)
     return basis, replace(eig, vectors=h.conj()[:, np.newaxis] * eig.vectors)
 
 

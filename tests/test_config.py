@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from echochain.chain import Coupling, build_floquet_pair
+from echochain.coherent import CoherentSpec
 from echochain.config import (
     ConfigError,
     IprBasisChoice,
@@ -186,3 +187,19 @@ def test_quarter_turn_phi_axis_stops_below_two_pi():
 def test_bad_grid_axis_is_a_config_error_at_parse(axis, message):
     with pytest.raises(ConfigError, match=message):
         parse_config_text(MINIMAL + axis)
+
+
+def test_parse_checks_the_grid_axis_by_axis(monkeypatch):
+    # A point is valid iff its theta and its phi are: one row and one column are
+    # checked, not all 231 points (millions at steps of a few thousandths).
+    made = []
+    check = CoherentSpec.__post_init__
+
+    def counted(spec):
+        made.append(spec)
+        check(spec)
+
+    monkeypatch.setattr(CoherentSpec, "__post_init__", counted)
+    config = parse_config_text(MINIMAL + "theta_step = 0.3\nphi_step = 0.3\n")
+    assert (len(config.grid.thetas), len(config.grid.phis)) == (11, 21)
+    assert len(made) <= 11 + 21

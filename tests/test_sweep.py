@@ -248,24 +248,36 @@ def test_gate_path_series_builds_no_block(coupling, monkeypatch):
 
 
 @pytest.mark.parametrize("coupling", [Coupling.V0, Coupling.V01])
-def test_gate_path_sweep_builds_no_plus_block(coupling, monkeypatch):
-    # The IPR comes from the symmetrised operator's block; U+'s own is never built.
-    def refuse(ops):
-        raise AssertionError("sweep of a gate-path coupling built a U+- block")
+def test_gate_path_sweep_builds_only_the_plus_block(coupling, monkeypatch):
+    # The IPR eigensystem comes from U+'s block; U-'s, never stepped in, is never built.
+    calls = []
 
-    monkeypatch.setattr(sweep_module, "orbit_blocks", refuse)
-    rows = run_sweep(_config(n_qubits=6, coupling=coupling, seed=2, t_cut=20))
+    def spy(ops):
+        calls.append(list(ops))
+        return orbit_blocks(ops)
+
+    for module in (sweep_module, symmetry_module):
+        monkeypatch.setattr(module, "orbit_blocks", spy)
+    config = _config(n_qubits=6, coupling=coupling, seed=2, t_cut=20)
+    rows = run_sweep(config)
     assert all(0.0 < row.ipr <= 1.0 for row in rows)
+    built = build_floquet_pair(config.chain_params)
+    [[op]] = calls
+    made = (op.kick_fields, op.bond_strengths)
+    assert made == (built.plus.kick_fields, built.plus.bond_strengths)
+    assert made != (built.minus.kick_fields, built.minus.bond_strengths)
 
 
 @pytest.mark.parametrize("coupling, applies", [(Coupling.V0, 1), (Coupling.V01, 1), (Coupling.VJ, 3)])
 def test_context_and_batches_make_only_the_applies_they_need(coupling, applies, monkeypatch):
-    # The context: the S block's one apply, and on the block route one per block of U+-.
+    # The context: one apply for U+'s block, and on the block route one per block of U+-;
+    # every one of an operator that build_floquet_pair built, no derived operator.
     # A batch: applies only where fidelity_series steps the gates.
-    calls, stepping = [], []
+    calls, stepping, applied = [], [], []
 
     def counted(op, state):
         calls.append(bool(stepping))
+        applied.append((op.kick_fields, op.bond_strengths))
         return apply_floquet(op, state)
 
     def series(pair, psi, t_cut):
@@ -281,6 +293,9 @@ def test_context_and_batches_make_only_the_applies_they_need(coupling, applies, 
     config = _config(n_qubits=6, coupling=coupling, seed=2, t_cut=20)
     context = sweep_module._prepare_context(config)
     assert calls == [False] * applies
+    built = build_floquet_pair(config.chain_params)
+    members = [(op.kick_fields, op.bond_strengths) for op in (built.plus, built.minus)]
+    assert all(op in members for op in applied)
     calls.clear()
     sweep_module._rows_for_batch(config, context, enumerate_grid(config.grid)[:3])
     assert all(calls)

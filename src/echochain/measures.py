@@ -32,7 +32,6 @@ class NmReport:
     ng_max: float | np.ndarray
     ng_avg: float | np.ndarray
     t_cut: int | np.ndarray
-    normalized_by_tcut: bool
     clamp_events: int | np.ndarray
 
 
@@ -63,18 +62,14 @@ def _rise_above_mean(k: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(out, axis=0, out=out)
 
 
-def compute_report(
-    series: FidelitySeries, normalize: bool = False, checkpoints=None
-) -> NmReport:
+def compute_report(series: FidelitySeries, checkpoints=None) -> NmReport:
     """All six measures of every column, on the prefixes ending at ``checkpoints``.
 
     ``checkpoints`` (default: the full length t_cut) are cutoff times in
-    [1, t_cut]; with them every field gains a leading checkpoint axis.
-    ``normalize`` divides blp and rhp by the cutoff time: only those two grow
-    without bound in the run length; the max/average schemes saturate and are
-    reported raw. F is floored at F_FLOOR inside the logarithm (deep dips
-    would otherwise produce arbitrarily large divisibility spikes); floored
-    samples are counted in ``clamp_events``.
+    [1, t_cut]; with them every field gains a leading checkpoint axis. F is
+    floored at F_FLOOR inside the logarithm (deep dips would otherwise produce
+    arbitrarily large divisibility spikes); floored samples are counted in
+    ``clamp_events``.
     """
     rows = np.array([series.t_cut] if checkpoints is None else checkpoints, dtype=np.int64)
     if rows.ndim != 1 or rows.size == 0 or rows.min() < 1 or rows.max() > series.t_cut:
@@ -90,9 +85,6 @@ def compute_report(
     ng_avg = _rise_above_mean(g)[rows]
     if not np.array_equal(rhp, ng_max):
         raise RuntimeError("internal identity rhp == n_max(G) violated")
-    if normalize:
-        blp = blp / rows[:, np.newaxis]
-        rhp = rhp / rows[:, np.newaxis]
 
     def shaped(values: np.ndarray):
         values = values.reshape(rows.shape + series.f.shape[1:])
@@ -102,4 +94,4 @@ def compute_report(
 
     measures = (shaped(m) for m in (blp, rhp, nd_max, nd_avg, ng_max, ng_avg))
     t_cut = series.t_cut if checkpoints is None else rows
-    return NmReport(*measures, t_cut, normalize, shaped(clamps))
+    return NmReport(*measures, t_cut, shaped(clamps))

@@ -95,7 +95,7 @@ def _rows_for_batch(config: RunConfig, context: tuple, specs: list[CoherentSpec]
         # ipr() refuses coordinates that lost norm: a leaking state fails before any period.
         state_ipr = ipr(coords, eig)
         series = fidelity_series(pair, states, config.t_cut)
-        report = compute_report(series, normalize=config.normalize_by_tcut)
+        report = compute_report(series)
         tail = asymptotic_fidelity(series, config.tail_window_fraction)
         per_sample.append((
             state_ipr,
@@ -105,10 +105,12 @@ def _rows_for_batch(config: RunConfig, context: tuple, specs: list[CoherentSpec]
     # One row of means per SweepRow measure field, one column per grid point.
     means = np.mean(np.array(per_sample, dtype=float), axis=0)
     _, _, rhp, nd_max, nd_avg, ng_max, *_ = means
-    if not config.normalize_by_tcut and not np.array_equal(rhp, ng_max):
+    if not np.array_equal(rhp, ng_max):
         raise RuntimeError("row identity rhp == ng_max violated")
     if np.any(nd_avg > nd_max + 1e-12):
         raise RuntimeError("row invariant nd_avg <= nd_max violated")
+    if config.normalize_by_tcut:  # blp and rhp, the two measures unbounded in t_cut
+        means[1:3] /= config.t_cut
     return [
         SweepRow(spec.theta, spec.phi, spec.hemisphere, *values)
         for spec, values in zip(specs, means.T.tolist())

@@ -168,7 +168,12 @@ def orbit_blocks(ops: Sequence[FloquetOperator]) -> tuple[np.ndarray, tuple[np.n
     More than DENSE_DIM_CAP orbits are refused before C is formed. An operator
     listed twice (the one object of an epsilon = 0 pair) gets one block.
     """
-    images = _permuted_states(ops[0].n_qubits, _site_symmetries(ops))
+    perms = _site_symmetries(ops)
+    # No orbit outgrows the group: refuse a dimension that alone implies too many orbits
+    # before the (2^N, |G|) table of images.
+    if ops[0].dim > len(perms) * DENSE_DIM_CAP:
+        raise ValueError(f"dense assembly refused beyond dimension {DENSE_DIM_CAP}")
+    images = _permuted_states(ops[0].n_qubits, perms)
     index = np.arange(ops[0].dim)
     _, orbit, sizes = np.unique(images.min(axis=1), return_inverse=True, return_counts=True)
     if len(sizes) > DENSE_DIM_CAP:

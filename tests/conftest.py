@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+import echochain
 from echochain.chain import ChainParams, Coupling, build_floquet_pair
 from echochain.symmetry import spacing_statistics
 
@@ -29,8 +32,14 @@ def chain12_spectra():
 
 
 def pytest_terminal_summary(terminalreporter):
-    if not ACCEPTANCE_RESULTS:
-        return
-    terminalreporter.section("acceptance criteria")
-    for _, line in sorted(ACCEPTANCE_RESULTS):
-        terminalreporter.write_line(line)
+    if ACCEPTANCE_RESULTS:
+        terminalreporter.section("acceptance criteria")
+        for _, line in sorted(ACCEPTANCE_RESULTS):
+            terminalreporter.write_line(line)
+    # For information only: the size of the package the suite imported.
+    package = Path(echochain.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in modules)
+    terminalreporter.write_line(
+        f"{package.parent.name}/{package.name}: {lines:,} lines in {len(modules)} modules"
+    )

@@ -221,3 +221,11 @@ def test_apply_floquet_real_input_gives_the_complex_result(coupling, shape):
     out = step(op, real)
     assert out.dtype == np.complex128
     assert np.array_equal(out, step(op, real.astype(np.complex128)))
+
+
+def test_floquet_operator_needs_one_bond_per_qubit():
+    with pytest.raises(ValueError) as refused:
+        FloquetOperator(((0.9, 1.3),) * 4, (1.0,) * 3)
+    assert (type(refused.value), str(refused.value)) == (
+        ValueError, "periodic chain needs exactly one bond per qubit"
+    )

@@ -146,3 +146,9 @@ def test_pole_row_states_identical_across_phi():
     for phi in (0.5, 1.7, 4.4):
         psi = build_coherent_state(CoherentSpec(0.0, phi), 4)
         assert np.abs(psi - base).max() < 1e-15
+
+
+def test_coherent_state_needs_a_qubit():
+    with pytest.raises(ValueError) as refused:
+        build_coherent_state(CoherentSpec(1.0, 2.0), 0)
+    assert (type(refused.value), str(refused.value)) == (ValueError, "n_qubits must be >= 1")

@@ -203,3 +203,17 @@ def test_parse_checks_the_grid_axis_by_axis(monkeypatch):
     config = parse_config_text(MINIMAL + "theta_step = 0.3\nphi_step = 0.3\n")
     assert (len(config.grid.thetas), len(config.grid.phis)) == (11, 21)
     assert len(made) <= 11 + 21
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("theta_step = 0\n", "grid steps must be positive"),
+        ("gue_samples = 0\n", "gue_samples must be >= 1"),
+    ],
+    ids=["zero_theta_step", "zero_gue_samples"],
+)
+def test_nonpositive_count_or_step_is_a_config_error(line, message):
+    with pytest.raises(ConfigError) as refused:
+        parse_config_text(MINIMAL + line)
+    assert (type(refused.value), str(refused.value)) == (ConfigError, message)

@@ -258,3 +258,32 @@ def test_asymptotic_bounds_hold_per_column():
         AsymptoticFidelity(np.array([0.5, 0.5]), np.array([0.2, 0.6]), (0, 1))
     with pytest.raises(ValueError):
         AsymptoticFidelity(np.array([0.5, 1.5]), np.array([0.2, 0.2]), (0, 1))
+
+
+_PAIR = build_floquet_pair(ChainParams(4, 0.9, 1.4, 0.1, Coupling.VJ))
+_PSI = build_coherent_state(CoherentSpec(1.0, 2.0), 4)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fidelity_series(_PAIR, _PSI, 0), "t_cut must be >= 1"),
+        (
+            lambda: fidelity_series(_PAIR, _PSI[:8], 5),
+            "state dimension does not match the propagators",
+        ),
+        (
+            lambda: asymptotic_fidelity(_series_from_amplitudes([1.0, 0.5, 0.4]), 0.0),
+            "tail_fraction must lie in (0, 1]",
+        ),
+        (
+            lambda: asymptotic_fidelity(_series_from_amplitudes([1.0, 0.5])),
+            "t_cut must be >= 2 for a tail average",
+        ),
+    ],
+    ids=["zero_t_cut", "state_dimension", "zero_tail_fraction", "one_period_tail"],
+)
+def test_series_and_tail_refuse_bad_input(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert (type(refused.value), str(refused.value)) == (ValueError, message)

@@ -313,3 +313,17 @@ def test_rng_stream_generator_reproducible():
     g1 = RngStream(7, 3).generator()
     g2 = RngStream(7, 3).generator()
     assert np.array_equal(g1.random(5), g2.random(5))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: unitary_eig(np.eye(3)[:2]), "expected a square matrix, got shape (2, 3)"),
+        (lambda: gue_raw(1, RngStream(0, 0)), "dim must be >= 2"),
+    ],
+    ids=["non_square_eig", "one_dim_gue"],
+)
+def test_linalg_refuses_bad_shapes(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert (type(refused.value), str(refused.value)) == (ValueError, message)

@@ -200,18 +200,6 @@ def test_report_identity_rhp_equals_ng_max_bitwise():
         assert report.rhp == report.ng_max
 
 
-def test_report_normalization_divides_unbounded_measures_only():
-    amp = np.concatenate([[1.0], np.tile([0.4, 0.9], 10)])
-    series = _series(amp)
-    raw = compute_report(series)
-    norm = compute_report(series, normalize=True)
-    assert norm.blp == pytest.approx(raw.blp / series.t_cut)
-    assert norm.rhp == pytest.approx(raw.rhp / series.t_cut)
-    assert norm.nd_max == raw.nd_max
-    assert norm.ng_avg == raw.ng_avg
-    assert norm.normalized_by_tcut and not raw.normalized_by_tcut
-
-
 def test_clamp_counted_and_increments_finite():
     amp = np.array([1.0, 1e-14, 0.5, 1e-13, 0.2])
     series = _series(amp)

@@ -1,6 +1,7 @@
 import os
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,6 +206,32 @@ def test_vgue_rows_average_over_samples():
         series = fidelity_series(pair, psi, 80)
         per_sample.append(compute_report(series).blp)
     assert row.blp == pytest.approx(np.mean(per_sample), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "coupling, samples", [(Coupling.VJ, 1), (Coupling.V0, 1), (Coupling.VGUE, 3)]
+)
+def test_normalize_by_tcut_divides_only_blp_and_rhp(coupling, samples):
+    config = _config(coupling=coupling, gue_samples=samples, seed=3)
+    raw = run_sweep(config)
+    normalized = run_sweep(replace(config, normalize_by_tcut=True))
+    # One sample divides exactly; several may round the mean and the quotient in either order.
+    rel = 0.0 if samples == 1 else 1e-15
+    assert len(raw) == len(normalized) == 9
+    for a, b in zip(raw, normalized):
+        assert b.blp == pytest.approx(a.blp / config.t_cut, rel=rel, abs=0.0)
+        assert b.rhp == pytest.approx(a.rhp / config.t_cut, rel=rel, abs=0.0)
+        assert replace(b, blp=a.blp, rhp=a.rhp) == a
+
+
+def test_orbit_cap_refused_before_the_image_table(monkeypatch):
+    # VJ at N=18: 2^18 states in orbits of at most 36 give over 4,096 orbits, known
+    # before the (2^18, 36) table of permuted states is built.
+    calls = []
+    monkeypatch.setattr(symmetry_module, "_permuted_states", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="dense assembly refused beyond dimension 4096"):
+        run_series(_config(n_qubits=18, t_cut=5), CoherentSpec(1.0, 2.0))
+    assert calls == []
 
 
 def test_full_basis_cap_enforced():

@@ -539,3 +539,26 @@ def test_spacing_histogram_normalization():
     assert centers[-1] == pytest.approx(4.95)
     inside = np.mean(sample < 5.0)
     assert np.sum(density) * 0.1 == pytest.approx(inside, abs=1e-12)
+
+
+_OP4 = build_floquet_pair(ChainParams(4, 0.9, 1.4, 0.0, Coupling.VJ)).plus
+_EIG4 = unitary_eig(np.diag(np.exp(1j * np.arange(4.0))))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_sector(4, 4), "k must lie in [0, 4)"),
+        (lambda: build_sector(4, -1), "k must lie in [0, 4)"),
+        (
+            lambda: sector_matrix(_OP4, build_sector(6, 0)),
+            "operator and sector qubit counts differ",
+        ),
+        (lambda: ipr(np.ones(3) / np.sqrt(3.0), _EIG4), "state dimension does not match eigenbasis"),
+    ],
+    ids=["k_past_n", "negative_k", "qubit_counts", "ipr_dimension"],
+)
+def test_sectors_and_ipr_refuse_mismatched_input(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert (type(refused.value), str(refused.value)) == (ValueError, message)

@@ -88,7 +88,7 @@ def _prepare_context(config: RunConfig) -> tuple:
 def _rows_for_batch(config: RunConfig, context: tuple, specs: list[CoherentSpec]) -> list[SweepRow]:
     pairs, eigs, basis = context
     psis = np.stack([build_coherent_state(spec, config.n_qubits) for spec in specs], axis=1)
-    coords = psis if basis is None else basis.T @ psis
+    coords = psis if basis is None else basis.coords(psis)
     states = psis if isinstance(pairs[0].plus, FloquetOperator) else coords
     per_sample = []
     for pair, eig in zip(pairs, eigs):
@@ -170,7 +170,7 @@ def run_series(config: RunConfig, spec: CoherentSpec) -> FidelitySeries:
     basis, _, (pair,) = _propagators(config, 1)
     psi = build_coherent_state(spec, config.n_qubits)
     # fidelity_series refuses coordinates that lost norm: a state leaking out of the basis.
-    return fidelity_series(pair, psi if basis is None else basis.T @ psi, config.t_cut)
+    return fidelity_series(pair, psi if basis is None else basis.coords(psi), config.t_cut)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -18,6 +18,11 @@ PROJECTION_DEFICIT_TOL = 1e-10
 DEGENERATE_WEIGHT_TOL = 1e-8
 DEGENERACY_GAP = 1e-10
 MIN_BRODY_SPACINGS = 50
+# Bytes of complex images per chunk of the columns that orbit_blocks and sector_matrix apply
+# U to. On one BLAS thread, the five N=12 spectral sector blocks took 87-92 ms at 0.5-2 MiB,
+# 96 ms at 4 MiB and 110 ms in one chunk, with traced peaks of 12-21, 33 and 97 MiB; VJ's
+# N=13 orbit block took 101, 77 and 121 ms at 0.5 MiB, 2 MiB and in one chunk.
+CHUNK_BYTES = 2 << 20
 
 
 class SymmetryViolationError(ValueError):
@@ -84,44 +89,64 @@ def sector_basis_matrix(basis: SectorBasis) -> np.ndarray:
     return b
 
 
-def _orbit_images(op: FloquetOperator) -> np.ndarray:
-    """U|r> for every orbit representative r, one column each, from one apply."""
+def _require_uniform(op: FloquetOperator) -> None:
     if not (isinstance(op, FloquetOperator) and is_uniform([op])):
         raise SymmetryViolationError(
             "the operator breaks translation symmetry (site-dependent kicks or bonds, "
             "or a dense VGUE matrix)"
         )
-    reps = [r for r, _ in _orbits(op.n_qubits)]
-    unit = np.zeros((op.dim, len(reps)), dtype=np.complex128)
-    unit[reps, np.arange(len(reps))] = 1.0
-    return apply_floquet(op, unit)
+
+
+def _chunked_images(op: FloquetOperator, columns, count: int):
+    """(cols, U columns(cols)) for consecutive slices cols of range(count), CHUNK_BYTES each."""
+    width = max(1, CHUNK_BYTES // (16 * op.dim))
+    for start in range(0, count, width):
+        cols = slice(start, min(start + width, count))
+        yield cols, apply_floquet(op, columns(cols))
 
 
 def sector_matrix(
-    op: FloquetOperator, basis: SectorBasis, images: np.ndarray | None = None
-) -> np.ndarray:
-    """Block <k,r'|U|k,r> of a translation-invariant U; must come out unitary.
+    op: FloquetOperator, basis: SectorBasis | Sequence[SectorBasis]
+) -> np.ndarray | tuple[np.ndarray, ...]:
+    """Block <k,r'|U|k,r> of a translation-invariant U, or a tuple of one per sector given;
+    each must come out unitary.
 
-    With T U = U T the block is read off the images U|r> of the orbit
-    representatives: <k,r'|U|k,r> = sqrt(p_r' p_r)/N sum_j e^{2pi i k j/N} <T^j r'|U|r>.
-    ``images`` are those of ``op`` from ``_orbit_images``; without them the
-    call makes its own, one apply, and keeps nothing. Site-dependent kicks make
-    the block lose column norm. Site-dependent bonds only rephase each U|r> (the
-    Ising phases act first), so the block stays unitary and only the guard refuses them.
+    With T U = U T a block is read off the images U|r> of the orbit representatives:
+    <k,r'|U|k,r> = sqrt(p_r' p_r)/N sum_j e^{2pi i k j/N} <T^j r'|U|r>. Each representative
+    is applied once, CHUNK_BYTES of images at a time, and every chunk's rows go straight
+    into the columns its representatives own in each block; nothing is kept between calls.
+    Site-dependent kicks make a block lose column norm. Site-dependent bonds only rephase
+    each U|r> (the Ising phases act first), so the block stays unitary and only the guard
+    refuses them.
     """
-    if op.n_qubits != basis.n_qubits:
+    bases = [basis] if isinstance(basis, SectorBasis) else list(basis)
+    if any(b.n_qubits != op.n_qubits for b in bases):
         raise ValueError("operator and sector qubit counts differ")
-    if images is None:
-        images = _orbit_images(op)
-    n = basis.n_qubits
-    reps, periods = np.array(basis.orbit_reps, dtype=np.int64).T
-    columns = np.searchsorted([r for r, _ in _orbits(n)], reps)
-    rows = _translations(n)[reps].T
-    images = images[rows[:, :, np.newaxis], columns]  # [j, r', r] = <T^j r'|U|r>
-    phases = np.exp(2j * np.pi * basis.k * np.arange(n) / n)
-    block = np.sqrt(np.outer(periods, periods)) / n * np.tensordot(phases, images, axes=1)
-    _require_no_leak(block, f"sector k={basis.k} block")
-    return block
+    _require_uniform(op)
+    if max((b.dim for b in bases), default=0) > DENSE_DIM_CAP:
+        raise ValueError(f"dense assembly refused beyond dimension {DENSE_DIM_CAP}")
+    n = op.n_qubits
+    reps = np.array([r for r, _ in _orbits(n)])
+    sectors = []
+    for b in bases:
+        own, periods = np.array(b.orbit_reps, dtype=np.int64).T
+        phases = np.exp(2j * np.pi * b.k * np.arange(n) / n)
+        # Rows [j, r'] = T^j r', and each column's place among all representatives.
+        sectors.append((_translations(n)[own].T, np.searchsorted(reps, own), periods, phases))
+    blocks = tuple(np.empty((b.dim, b.dim), dtype=np.complex128) for b in bases)
+
+    def unit(cols: slice) -> np.ndarray:  # the basis states |r> of the chunk's representatives
+        return np.where(np.arange(op.dim)[:, np.newaxis] == reps[cols], 1.0 + 0j, 0j)
+
+    for cols, images in _chunked_images(op, unit, len(reps)):
+        for (rows, columns, periods, phases), block in zip(sectors, blocks):
+            lo, hi = np.searchsorted(columns, (cols.start, cols.stop))
+            gathered = images[rows[:, :, np.newaxis], columns[lo:hi] - cols.start]
+            weights = np.sqrt(np.outer(periods, periods[lo:hi])) / n
+            block[:, lo:hi] = weights * np.tensordot(phases, gathered, axes=1)
+    for b, block in zip(bases, blocks):
+        _require_no_leak(block, f"sector k={b.k} block")
+    return blocks[0] if isinstance(basis, SectorBasis) else blocks
 
 
 def _require_no_leak(block: np.ndarray, name: str) -> None:
@@ -156,41 +181,83 @@ def is_uniform(ops: Sequence[FloquetOperator]) -> bool:
     return len(_site_symmetries(ops)) == 2 * ops[0].n_qubits
 
 
-def orbit_blocks(ops: Sequence[FloquetOperator]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """(C, C^T U C for each U in ``ops``), one apply of each operator to C.
+@dataclass(frozen=True, eq=False)
+class OrbitBasis:
+    """The real orbit basis C: row b holds 1/sqrt(sizes[orbit[b]]) in column orbit[b], else 0.
 
-    C is real with one column per orbit of the site permutations that leave all
-    of ``ops`` unchanged (``_site_symmetries``): translations and reflections for
-    a uniform chain, the reflection fixing a perturbed site or bond (at N = 2 the
-    identity alone, so C is the identity). A column is its orbit's indicator over
-    sqrt(orbit size), in the order of the orbits' smallest members; every product
-    of identical qubit states lies in their span. A block must come out unitary.
-    More than DENSE_DIM_CAP orbits are refused before C is formed. An operator
-    listed twice (the one object of an epsilon = 0 pair) gets one block.
+    Orbits are numbered in the order of their smallest members.
+    """
+
+    orbit: np.ndarray
+    sizes: np.ndarray
+
+    @cached_property
+    def _by_size(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(the orbits of one size, their members as an (orbits, size) table) per size."""
+        members = np.argsort(self.orbit, kind="stable")
+        starts = np.cumsum(self.sizes) - self.sizes
+        return tuple(
+            (which, members[starts[which, np.newaxis] + np.arange(size)])
+            for size in sorted(set(self.sizes.tolist()))
+            for which in [np.flatnonzero(self.sizes == size)]
+        )
+
+    def coords(self, states: np.ndarray) -> np.ndarray:
+        """C^T states, for one state (d,) or each column of (d, m).
+
+        Each orbit's rows are summed member by member in ascending order, so a column's
+        coordinates do not depend on the other columns.
+        """
+        sums = np.empty((len(self.sizes),) + states.shape[1:], dtype=states.dtype)
+        for which, table in self._by_size:
+            total = states[table[:, 0]]
+            for member in table[:, 1:].T:
+                total += states[member]
+            sums[which] = total
+        scale = 1.0 / np.sqrt(self.sizes)
+        return scale.reshape(scale.shape + (1,) * (states.ndim - 1)) * sums
+
+
+def orbit_blocks(ops: Sequence[FloquetOperator]) -> tuple[OrbitBasis, tuple[np.ndarray, ...]]:
+    """(C, C^T U C for each U in ``ops``), each operator applied once to C's columns.
+
+    C (``OrbitBasis``) has one column per orbit of the site permutations that leave all
+    of ``ops`` unchanged (``_site_symmetries``): translations and reflections for a
+    uniform chain, the reflection fixing a perturbed site or bond (at N = 2 the identity
+    alone, so C is the identity). A column is its orbit's indicator over sqrt(orbit
+    size); every product of identical qubit states lies in their span. U is applied to
+    CHUNK_BYTES of C's columns at a time, and each chunk's image rows are summed over
+    each orbit straight into the block columns it owns. A block must come out unitary.
+    More than DENSE_DIM_CAP orbits are refused before any apply. An operator listed
+    twice (the one object of an epsilon = 0 pair) gets one block.
     """
     perms = _site_symmetries(ops)
     # No orbit outgrows the group: refuse a dimension that alone implies too many orbits
     # before the (2^N, |G|) table of images.
     if ops[0].dim > len(perms) * DENSE_DIM_CAP:
         raise ValueError(f"dense assembly refused beyond dimension {DENSE_DIM_CAP}")
-    images = _permuted_states(ops[0].n_qubits, perms)
-    index = np.arange(ops[0].dim)
-    _, orbit, sizes = np.unique(images.min(axis=1), return_inverse=True, return_counts=True)
+    smallest = _permuted_states(ops[0].n_qubits, perms).min(axis=1)
+    _, orbit, sizes = np.unique(smallest, return_inverse=True, return_counts=True)
     if len(sizes) > DENSE_DIM_CAP:
         raise ValueError(f"dense assembly refused beyond dimension {DENSE_DIM_CAP}")
-    basis = np.zeros((len(index), len(sizes)))
-    basis[index, orbit] = 1.0 / np.sqrt(sizes[orbit])
-    # C has one nonzero per row, so C^T U C sums the rows of U C over each orbit.
-    members, starts = np.argsort(orbit, kind="stable"), np.cumsum(sizes) - sizes
-    blocks = dict.fromkeys(ops)  # FloquetOperator hashes by identity (eq=False)
-    for op in blocks:
-        sums = np.add.reduceat(apply_floquet(op, basis)[members], starts)
-        blocks[op] = (1.0 / np.sqrt(sizes))[:, np.newaxis] * sums
-        _require_no_leak(blocks[op], "orbit block")
+    basis, scale = OrbitBasis(orbit, sizes), 1.0 / np.sqrt(sizes)
+
+    def columns(cols: slice) -> np.ndarray:  # C[:, cols]
+        return np.where(orbit[:, np.newaxis] == np.arange(cols.start, cols.stop), scale[cols], 0.0)
+
+    def block(op: FloquetOperator) -> np.ndarray:  # C^T U C, chunk by chunk
+        out = np.empty((len(sizes), len(sizes)), dtype=np.complex128)
+        for cols, images in _chunked_images(op, columns, len(sizes)):
+            out[:, cols] = basis.coords(images)
+        _require_no_leak(out, "orbit block")
+        return out
+
+    # FloquetOperator hashes by identity (eq=False): an operator listed twice gets one block.
+    blocks = {op: block(op) for op in dict.fromkeys(ops)}
     return basis, tuple(blocks[op] for op in ops)
 
 
-def orbit_eig(op: FloquetOperator) -> tuple[np.ndarray, EigenSystem]:
+def orbit_eig(op: FloquetOperator) -> tuple[OrbitBasis, EigenSystem]:
     """(C, the eigensystem of U's orbit block B = C^T U C), both from ``orbit_blocks([op])``.
 
     U's Ising phases I act first, then its kicks K, so U = I^-1/2 S I^1/2 with
@@ -201,8 +268,9 @@ def orbit_eig(op: FloquetOperator) -> tuple[np.ndarray, EigenSystem]:
     conj(h) s with S's residual.
     """
     basis, (block,) = orbit_blocks([op])
-    # I^1/2 at each orbit's smallest member, the first nonzero of its column.
-    h = np.exp(-0.5j * _ising_angles(op.n_qubits, op.bond_strengths)[basis.argmax(axis=0)])
+    # I^1/2 at each orbit's smallest member, its first basis state.
+    smallest = np.unique(basis.orbit, return_index=True)[1]
+    h = np.exp(-0.5j * _ising_angles(op.n_qubits, op.bond_strengths)[smallest])
     # Rebound, so that B is freed before the solve.
     block = h[:, np.newaxis] * block * h.conj()
     eig = unitary_eig(block)
@@ -331,16 +399,21 @@ def spacing_statistics(op: FloquetOperator) -> SpectralReport:
     The excluded sectors carry an extra reflection symmetry that mixes
     statistics; dropping them leaves clean ensembles. The site reflection maps
     sector k onto N - k and commutes with every translation-invariant U (which
-    ``_orbit_images`` insists on), so the two spectra coincide: sectors
+    ``sector_matrix`` insists on), so the two spectra coincide: sectors
     1..(N-1)//2 are diagonalised and their spacings stand in for N - k as well.
-    Every block is read from the same images, one apply of U.
+    Every block comes from the same pass, one apply of U to each orbit representative.
     """
-    images = _orbit_images(op)
+    _require_uniform(op)
     n_qubits = op.n_qubits
-    by_sector = {}
-    for k in range(1, (n_qubits + 1) // 2):
-        basis = build_sector(n_qubits, k)
-        by_sector[k] = sector_spacings(unitary_phases(sector_matrix(op, basis, images)), basis.dim)
+    # No orbit outgrows the N translations: refuse a dimension that alone implies too
+    # many orbits before the (2^N, N) table of translations.
+    if op.dim > n_qubits * DENSE_DIM_CAP:
+        raise ValueError(f"dense assembly refused beyond dimension {DENSE_DIM_CAP}")
+    bases = [build_sector(n_qubits, k) for k in range(1, (n_qubits + 1) // 2)]
+    by_sector = {
+        basis.k: sector_spacings(unitary_phases(block), basis.dim)
+        for basis, block in zip(bases, sector_matrix(op, bases))
+    }
     used = [k for k in range(1, n_qubits) if 2 * k != n_qubits]
     # At N = 2 no sector is used; brody_fit then refuses the empty sample.
     spacings = np.concatenate([np.empty(0)] + [by_sector[min(k, n_qubits - k)] for k in used])

@@ -336,6 +336,14 @@ def orbits_ref(n_qubits: int) -> list[tuple[int, int]]:
     return out
 
 
+def orbit_matrix(basis) -> np.ndarray:
+    """The dense real orbit basis C of an ``OrbitBasis``, one basis state at a time."""
+    c = np.zeros((len(basis.orbit), len(basis.sizes)))
+    for state, orbit in enumerate(basis.orbit):
+        c[state, orbit] = 1.0 / math.sqrt(basis.sizes[orbit])
+    return c
+
+
 def sector_basis_ref(basis) -> np.ndarray:
     """Momentum basis columns (1/sqrt p) sum_{j<p} e^{-2 pi i k j/N} T^j |r>, one orbit at a time."""
     n, k = basis.n_qubits, basis.k

@@ -8,6 +8,7 @@ import pytest
 import echochain
 import echochain.chain as chain_module
 import echochain.sweep as sweep_module
+import echochain.symmetry as symmetry_module
 from echochain.chain import ChainParams, Coupling, build_floquet_pair
 from echochain.cli import main
 from echochain.linalg import unitary_eig
@@ -141,6 +142,32 @@ def test_spectral_refuses_vgue_before_the_draw(tmp_path, capsys, monkeypatch):
     path.write_text(VGUE_SPECTRAL, encoding="utf-8")
     assert main(["spectral", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: the operator breaks translation symmetry")
+
+
+@pytest.mark.parametrize("n_qubits", [16, 17])
+def test_spectral_refuses_a_sector_over_the_cap_before_any_apply(
+    n_qubits, tmp_path, capsys, monkeypatch
+):
+    # N = 17: 2^17 states over at most 17 translations exceed 17 x 4,096, refused before
+    # the (2^17, 17) translation table; its sectors k != 0 would hold 7,710 orbits each.
+    # N = 16 passes that rule, but its sector k = 2 holds 4,110 orbits.
+    applies, tables = [], []
+    monkeypatch.setattr(symmetry_module, "apply_floquet", lambda *args: applies.append(args))
+    permuted = symmetry_module._permuted_states
+    monkeypatch.setattr(
+        symmetry_module, "_permuted_states", lambda n, perms: tables.append(n) or permuted(n, perms)
+    )
+    path = tmp_path / "spectral.cfg"
+    path.write_text(
+        f"n_qubits = {n_qubits}\nb_perp = 1.0\nb_par = 1.4\nepsilon = 0.0\ncoupling = VJ\n"
+        f"output_path = {tmp_path / 'hist.txt'}\n",
+        encoding="utf-8",
+    )
+    assert main(["spectral", str(path)]) == 1
+    assert capsys.readouterr().err == "error: dense assembly refused beyond dimension 4096\n"
+    assert applies == []
+    assert 17 not in tables
+    assert not (tmp_path / "hist.txt").exists()
 
 
 def test_quarter_turn_phi_axis_sweeps_eight_points(small_config, capsys):

@@ -24,7 +24,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import match_phase_multisets, per_qubit_floquet, vgue_factors, vgue_pair
+from _oracles import (
+    match_phase_multisets, orbit_matrix, per_qubit_floquet, vgue_factors, vgue_pair,
+)
 from echochain.chain import (
     KICK_CHUNK,
     ChainParams,
@@ -124,7 +126,7 @@ def test_series_in_k0_blocks_matches_gate_path(n, b_perp, b_par, eps, coupling, 
     gate = fidelity_series(pair, psi, t)
     series = run_series(config, spec)
     basis, blocks = orbit_blocks((pair.plus, pair.minus))
-    in_block = fidelity_series(FloquetPair(*blocks), basis.T @ psi, t)
+    in_block = fidelity_series(FloquetPair(*blocks), orbit_matrix(basis).T @ psi, t)
     assert series.f.shape == in_block.f.shape == gate.f.shape
     # Relative to the amplitude's scale |f(0)| = 1, as in the fixed-parameter test.
     assert np.max(np.abs(series.f - gate.f)) <= 1e-12
@@ -141,7 +143,7 @@ def test_batched_echo_columns_match_single_runs(n, b_perp, b_par, eps, coupling,
     states = np.stack([build_coherent_state(spec, n) for spec in batch], axis=1)
     if isinstance(pair.plus, FloquetOperator) and is_uniform((pair.plus, pair.minus)):
         basis, blocks = orbit_blocks((pair.plus, pair.minus))
-        pair, states = FloquetPair(*blocks), basis.T @ states
+        pair, states = FloquetPair(*blocks), orbit_matrix(basis).T @ states
     f = fidelity_series(pair, states, t).f
     for j in range(len(batch)):
         alone = fidelity_series(pair, states[:, j], t).f
@@ -187,7 +189,7 @@ def test_symmetrized_block_gives_the_plus_block_ipr(n, b_perp, b_par, eps, coupl
     plus = build_floquet_pair(ChainParams(n, b_perp, b_par, eps, coupling)).plus
     basis, block, s_eig, eig = solved_s_block(plus)
     plus_basis, (plus_block,) = orbit_blocks([plus])
-    assert np.array_equal(basis, plus_basis)
+    assert np.array_equal(basis, orbit_matrix(plus_basis))
     assert np.max(np.abs(block - block.T)) <= 1e-14
     assert s_eig.vectors.dtype == np.float64
     plus_eig = unitary_eig(plus_block)

@@ -40,6 +40,7 @@ from echochain.sweep import (
 
 from _oracles import (
     dense_floquet,
+    orbit_matrix,
     pairwise_rise_max,
     rise_above_mean_max,
     run_based_blp,
@@ -480,7 +481,7 @@ def test_series_and_saturation_in_k0_blocks_match_gate_path(coupling, n_qubits):
         psi = build_coherent_state(spec, n_qubits)
         gate = fidelity_series(pair, psi, config.t_cut)
         series = run_series(config, spec)
-        in_block = fidelity_series(FloquetPair(*blocks), basis.T @ psi, config.t_cut)
+        in_block = fidelity_series(FloquetPair(*blocks), orbit_matrix(basis).T @ psi, config.t_cut)
         assert series.f.shape == in_block.f.shape == gate.f.shape
         # Relative to the amplitude's scale |f(0)| = 1: f passes near zero, where
         # an element-wise ratio measures nothing but rounding.

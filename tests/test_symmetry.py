@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -43,6 +44,7 @@ from _oracles import (
     ising_phase_matrix,
     match_phase_multisets,
     necklace_count,
+    orbit_matrix,
     orbits_ref,
     sector_basis_ref,
     sector_block_ref,
@@ -195,7 +197,7 @@ ORBIT_DIMS_AT_TEN = {Coupling.VJ: 78, Coupling.VB: 78, Coupling.V0: 544, Couplin
 @pytest.mark.parametrize("coupling", [Coupling.VJ, Coupling.VB, Coupling.V0, Coupling.V01])
 def test_orbit_basis_at_ten_qubits(coupling):
     pair = build_floquet_pair(ChainParams(10, 1.0, 1.4, 0.1, coupling))
-    basis, _ = orbit_blocks((pair.plus, pair.minus))
+    basis = orbit_matrix(orbit_blocks((pair.plus, pair.minus))[0])
     assert basis.dtype == np.float64
     assert basis.shape == (1024, ORBIT_DIMS_AT_TEN[coupling])
     assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() < 1e-13
@@ -215,6 +217,7 @@ def test_orbit_blocks_are_exact_compressions(coupling, n_qubits):
         basis, blocks, oracles = np.eye(1 << n_qubits), members, vgue_pair(params, RngStream(5, 0))
     else:
         basis, blocks = orbit_blocks(members)
+        basis = orbit_matrix(basis)
         oracles = [dense_floquet(op.kick_fields, op.bond_strengths, n_qubits) for op in members]
     if n_qubits == 2 and coupling in (Coupling.V0, Coupling.V01):  # every orbit one state
         assert np.array_equal(basis, np.eye(4))
@@ -234,7 +237,7 @@ def solved_s_block(op):
     with mock.patch.object(symmetry_module, "unitary_eig", spy):
         basis, eig = symmetry_module.orbit_eig(op)
     [(block, s_eig)] = solved
-    return basis, block, s_eig, eig
+    return orbit_matrix(basis), block, s_eig, eig
 
 
 @pytest.mark.parametrize("n_qubits", [2, 5, 6, 7])
@@ -249,7 +252,7 @@ def test_symmetrized_block_is_an_exact_compression(coupling, n_qubits):
     assert np.abs(s - s.T).max() < 1e-14
     assert np.abs(half.conj().T @ s @ half - u).max() < 1e-13
     basis, block, _, _ = solved_s_block(op)
-    assert np.array_equal(basis, orbit_blocks([op])[0])
+    assert np.array_equal(basis, orbit_matrix(orbit_blocks([op])[0]))
     assert np.abs(s @ basis - basis @ block).max() < 1e-13
 
 
@@ -271,7 +274,7 @@ def test_identical_operators_share_one_block(monkeypatch):
     calls = _count_applies(monkeypatch)
     basis, (plus, minus) = orbit_blocks([op, op])
     assert plus is minus
-    assert calls == [basis.shape]
+    assert sum(cols for _, cols in calls) == len(basis.sizes)  # each orbit's column once
 
 
 @pytest.mark.parametrize("k", range(8))
@@ -298,6 +301,120 @@ def _count_applies(monkeypatch):
 
     monkeypatch.setattr(symmetry_module, "apply_floquet", counted)
     return calls
+
+
+OPERATOR_COUPLINGS = [Coupling.VJ, Coupling.VB, Coupling.V0, Coupling.V01]
+
+
+def _chunks_of(width, n_qubits, monkeypatch):
+    """Sets CHUNK_BYTES to ``width`` columns of images at ``n_qubits``."""
+    monkeypatch.setattr(symmetry_module, "CHUNK_BYTES", 16 * (1 << n_qubits) * width)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4096])  # 4,096: wider than every block
+@pytest.mark.parametrize("coupling", OPERATOR_COUPLINGS)
+def test_chunked_blocks_match_the_dense_oracles(coupling, width, monkeypatch):
+    n = 6
+    _chunks_of(width, n, monkeypatch)
+    calls = _count_applies(monkeypatch)
+    pair = build_floquet_pair(ChainParams(n, 0.9, 1.3, 0.2, coupling))
+    members = (pair.plus, pair.minus)
+    basis, blocks = orbit_blocks(members)
+    dense = orbit_matrix(basis)
+    oracles = [dense_floquet(op.kick_fields, op.bond_strengths, n) for op in members]
+    for u, block in zip(oracles, blocks):
+        assert np.abs(dense.T @ u @ dense - block).max() < 1e-13
+    if is_uniform(members):  # VJ and VB: every momentum sector, from one pass
+        sectors = [build_sector(n, k) for k in range(n)]
+        for sector, block in zip(sectors, sector_matrix(pair.plus, sectors)):
+            assert np.abs(block - sector_block_ref(oracles[0], sector)).max() < 1e-12
+    assert max(cols for _, cols in calls) <= width
+
+
+def _break_in_chunk(column, width, breaking, monkeypatch):
+    """Applies ``breaking`` instead of the operator to the chunk that holds ``column`` only."""
+    calls = []
+
+    def apply(op, state):
+        calls.append(state.shape)
+        return apply_floquet(breaking if len(calls) - 1 == column // width else op, state)
+
+    monkeypatch.setattr(symmetry_module, "apply_floquet", apply)
+    return calls
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_a_leak_in_a_middle_chunk_raises(width, monkeypatch):
+    # V01 on the orbits of V0's reflection: orbit column 6 leaks (see the test above).
+    v0, v01 = (
+        build_floquet_pair(ChainParams(8, 0.9, 1.3, 0.1, coupling)).plus
+        for coupling in (Coupling.V0, Coupling.V01)
+    )
+    reflection = symmetry_module._site_symmetries([v0])
+    monkeypatch.setattr(symmetry_module, "_site_symmetries", lambda ops: reflection)
+    _chunks_of(width, 8, monkeypatch)
+    orbit_blocks([v0])
+    calls = _break_in_chunk(6, width, v01, monkeypatch)
+    with pytest.raises(SymmetryViolationError, match="not unitary"):
+        orbit_blocks([v0])
+    assert 0 < 6 // width < len(calls) - 1
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_a_kick_break_in_a_middle_chunk_raises(width, monkeypatch):
+    # V0's kicks on representative 9, column 9 of sector k = 0, lose its norm.
+    op, v0 = (
+        build_floquet_pair(ChainParams(8, 0.9, 1.3, eps, coupling)).plus
+        for eps, coupling in ((0.0, Coupling.VJ), (0.1, Coupling.V0))
+    )
+    _chunks_of(width, 8, monkeypatch)
+    sector_matrix(op, build_sector(8, 0))
+    calls = _break_in_chunk(9, width, v0, monkeypatch)
+    with pytest.raises(SymmetryViolationError, match="not unitary"):
+        sector_matrix(op, build_sector(8, 0))
+    assert 0 < 9 // width < len(calls) - 1
+
+
+@pytest.mark.parametrize("coupling", OPERATOR_COUPLINGS)
+def test_orbit_coordinates_match_the_dense_product(coupling):
+    n = 10
+    pair = build_floquet_pair(ChainParams(n, 1.0, 1.4, 0.1, coupling))
+    basis, _ = orbit_blocks((pair.plus, pair.minus))
+    dense = orbit_matrix(basis)
+    grid = enumerate_grid(RunConfig(n, 1.0, 1.4, 0.1, coupling).grid)[::97]
+    rng = np.random.default_rng(17)
+    noise = rng.normal(size=(1 << n, 6)) + 1j * rng.normal(size=(1 << n, 6))
+    for states in (np.stack([build_coherent_state(spec, n) for spec in grid], axis=1), noise):
+        coords, expected = basis.coords(states), dense.T @ states
+        deviation = np.linalg.norm(coords - expected, axis=0)
+        assert np.all(deviation <= 1e-15 * np.linalg.norm(expected, axis=0))
+        # A column's coordinates do not depend on the columns beside it.
+        assert np.array_equal(basis.coords(states[:, 1]), coords[:, 1])
+    # No copy of C, real or complex: the traced peak stays below C itself.
+    tracemalloc.start()
+    try:
+        basis.coords(noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense.nbytes
+
+
+def test_block_memory_follows_the_block():
+    # VJ at N = 13: one (2^N, orbits) complex array is 8,192 x 380 x 16 B = 50 MB over its
+    # reflection orbits, and 8,192 x 632 x 16 B = 83 MB over its translation orbits.
+    op = build_floquet_pair(ChainParams(13, 1.0, 1.4, 0.1, Coupling.VJ)).plus
+    tracemalloc.start()
+    try:
+        basis, _ = orbit_blocks([op])
+        orbit_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        spacing_statistics(op)
+        spectral_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert orbit_peak < 16 * op.dim * len(basis.sizes)
+    assert spectral_peak < 16 * op.dim * len(symmetry_module._orbits(13))
 
 
 @pytest.mark.parametrize("coupling", [Coupling.V0, Coupling.V01, Coupling.VGUE])

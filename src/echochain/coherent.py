@@ -8,6 +8,10 @@ from functools import cached_property
 
 import numpy as np
 
+# Most grid points a config may ask for, counted before any axis is enumerated; the
+# default grid has 2,016. A step too small to move its axis would otherwise never end it.
+MAX_GRID_POINTS = 1 << 20
+
 
 @dataclass(frozen=True)
 class CoherentSpec:
@@ -54,6 +58,12 @@ class SphereGrid:
     def __post_init__(self) -> None:
         if self.theta_step <= 0 or self.phi_step <= 0:
             raise ValueError("grid steps must be positive")
+        # Points per axis at most, taken as 1 on an empty axis so that it hides no long one.
+        # The float quotient, as a tiny step makes it inf.
+        thetas = max(1.0, (self.theta_max - self.theta_min) / self.theta_step + 1.0)
+        points = thetas * max(1.0, (self.phi_max - self.phi_min) / self.phi_step + 1.0)
+        if not points <= MAX_GRID_POINTS:
+            raise ValueError(f"grid of up to {points:.4g} points, over the cap of {MAX_GRID_POINTS}")
 
     @cached_property
     def thetas(self) -> tuple[float, ...]:

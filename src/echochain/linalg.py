@@ -102,7 +102,7 @@ def norm_deficit(columns: np.ndarray) -> float:
 
 def _require_unitary(u: np.ndarray) -> np.ndarray:
     u = _require_square(u)
-    if unitarity_defect(u) > UNITARY_TOL:
+    if not unitarity_defect(u) <= UNITARY_TOL:
         raise ValueError("matrix is not unitary within 1e-9")
     return u
 
@@ -121,7 +121,7 @@ def _cayley(u: np.ndarray) -> tuple[float, np.ndarray]:
             x = np.linalg.inv(np.eye(len(u)) - np.exp(-1j * shift) * u)
         except np.linalg.LinAlgError:  # a phase exactly on the shift
             continue
-        if np.linalg.norm(x) > CAYLEY_NORM_CAP / 2:
+        if not np.linalg.norm(x) <= CAYLEY_NORM_CAP / 2:
             continue
         # C = 2iX - i with X = (1 - zU)^-1, so (C + C^dag)/2 = i(X - X^dag).
         c = x - x.conj().T
@@ -176,9 +176,11 @@ def unitary_eig(u: np.ndarray) -> EigenSystem:
 def hermitian_expm(h: np.ndarray) -> np.ndarray:
     """exp(-i h) for Hermitian h, via eigendecomposition."""
     h = _require_square(h)
-    if hermiticity_defect(h) > HERMITIAN_TOL:
+    if not hermiticity_defect(h) <= HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within 1e-10")
     values, vectors = np.linalg.eigh(h)
+    if not np.all(np.isfinite(values)):  # an overflow, which exp would turn into NaN
+        raise ValueError("Hermitian matrix has non-finite eigenvalues")
     scaled = vectors * np.exp(-1j * values)[np.newaxis, :]
     return scaled @ np.conjugate(vectors, out=vectors).T
 

@@ -55,18 +55,18 @@ CSV_FIELDS = tuple(f.name for f in fields(SweepRow))
 
 
 def _propagators(config: RunConfig, samples: int) -> tuple:
-    """(orbit basis or None, one FloquetPair per sample as built, the same in the form it steps in).
+    """(orbit basis or None, U+ as built, one FloquetPair per sample in the form it steps in).
 
     Uniform operators step in orbit blocks and are dropped; VGUE's matrices step as built
     (no basis), and the other operators keep the gates, cheaper than reflection-even blocks.
     """
     params = config.chain_params
     built = tuple(build_floquet_pair(params, RngStream(config.seed, m)) for m in range(samples))
-    ops = [op for pair in built for op in (pair.plus, pair.minus)]
-    if not (isinstance(ops[0], FloquetOperator) and is_uniform(ops)):
-        return None, built, built
-    basis, blocks = orbit_blocks(ops)
-    return basis, built, tuple(map(FloquetPair, blocks[::2], blocks[1::2]))
+    plus, minus = built[0].plus, built[0].minus
+    if not (isinstance(plus, FloquetOperator) and is_uniform([plus, minus])):
+        return None, plus, built
+    basis, blocks = orbit_blocks([plus, minus])
+    return basis, plus, (FloquetPair(*blocks),)
 
 
 def _prepare_context(config: RunConfig) -> tuple:
@@ -74,15 +74,15 @@ def _prepare_context(config: RunConfig) -> tuple:
 
     The IPR amplitudes are <u_n|psi> over the eigenvectors u_n of U+. An operator U+
     gives them in the coordinates C^T psi over the eigenvectors of its own orbit block
-    (``orbit_eig``, one apply of U+), in the basis the uniform operators also step in.
+    (``orbit_eig``), over the one basis the block route steps in and the gate route builds.
     VGUE's dense U+ has no orbit basis: its own eigensystem per sample, on the full state.
     """
-    _, built, pairs = _propagators(config, config.gue_samples)
-    plus = built[0].plus
+    basis, plus, pairs = _propagators(config, config.gue_samples)
     if not isinstance(plus, FloquetOperator):
         return pairs, tuple(unitary_eig(pair.plus) for pair in pairs), None
-    basis, eig = orbit_eig(plus)
-    return pairs, (eig,) * len(pairs), basis
+    # The gate route builds U+'s block alone; the block route copies the one U+ steps in.
+    basis, (block,) = orbit_blocks([plus]) if basis is None else (basis, (pairs[0].plus.copy(),))
+    return pairs, (orbit_eig(plus, basis, block),), basis
 
 
 def _rows_for_batch(config: RunConfig, context: tuple, specs: list[CoherentSpec]) -> list[SweepRow]:

@@ -152,7 +152,7 @@ def sector_matrix(
 def _require_no_leak(block: np.ndarray, name: str) -> None:
     """A compression of a unitary is unitary iff no column lost norm (``norm_deficit``)."""
     defect = norm_deficit(block)
-    if defect > SECTOR_UNITARY_TOL:
+    if not defect <= SECTOR_UNITARY_TOL:
         raise SymmetryViolationError(
             f"{name} is not unitary (defect {defect:.2e}); the operator leaks out of it"
         )
@@ -257,8 +257,8 @@ def orbit_blocks(ops: Sequence[FloquetOperator]) -> tuple[OrbitBasis, tuple[np.n
     return basis, tuple(blocks[op] for op in ops)
 
 
-def orbit_eig(op: FloquetOperator) -> tuple[OrbitBasis, EigenSystem]:
-    """(C, the eigensystem of U's orbit block B = C^T U C), both from ``orbit_blocks([op])``.
+def orbit_eig(op: FloquetOperator, basis: OrbitBasis, block: np.ndarray) -> EigenSystem:
+    """The eigensystem of U's orbit block B = C^T U C (``block``, overwritten) over ``basis``.
 
     U's Ising phases I act first, then its kicks K, so U = I^-1/2 S I^1/2 with
     S = I^1/2 K I^1/2. Every kick gate is a symmetric matrix and I is diagonal, so
@@ -267,14 +267,13 @@ def orbit_eig(op: FloquetOperator) -> tuple[OrbitBasis, EigenSystem]:
     one phase h on each orbit, so C^T S C = h B conj(h), and B has the eigenvectors
     conj(h) s with S's residual.
     """
-    basis, (block,) = orbit_blocks([op])
     # I^1/2 at each orbit's smallest member, its first basis state.
     smallest = np.unique(basis.orbit, return_index=True)[1]
     h = np.exp(-0.5j * _ising_angles(op.n_qubits, op.bond_strengths)[smallest])
-    # Rebound, so that B is freed before the solve.
-    block = h[:, np.newaxis] * block * h.conj()
+    # h B conj(h) in B's place; in this operand order it rounds as h[:, None] * B * conj(h).
+    np.multiply(np.multiply(h[:, np.newaxis], block, out=block), h.conj(), out=block)
     eig = unitary_eig(block)
-    return basis, replace(eig, vectors=h.conj()[:, np.newaxis] * eig.vectors)
+    return replace(eig, vectors=h.conj()[:, np.newaxis] * eig.vectors)
 
 
 def ipr(states: np.ndarray, eig: EigenSystem) -> float | np.ndarray:
@@ -288,7 +287,7 @@ def ipr(states: np.ndarray, eig: EigenSystem) -> float | np.ndarray:
         raise ValueError("state dimension does not match eigenbasis")
     amplitudes = eig.vectors.conj().T @ states
     deficit = norm_deficit(amplitudes)
-    if deficit > PROJECTION_DEFICIT_TOL:
+    if not deficit <= PROJECTION_DEFICIT_TOL:
         raise ValueError(f"state lies outside the eigenbasis span (deficit {deficit:.2e})")
     weights = np.abs(amplitudes) ** 2
     if _weight_on_degenerate_group(weights, eig.values):

@@ -184,8 +184,13 @@ def test_quarter_turn_phi_axis_sweeps_eight_points(small_config, capsys):
     [
         ("theta_max = 4.0\ntheta_step = 0.5\n", "theta 3.5 outside [0, pi]"),
         ("theta_max = 0.5\n", "empty grid range"),
+        # 1 + 1e-17 == 1: enumerating this axis would never end.
+        (
+            "theta_max = 3.0\ntheta_step = 1e-17\n",
+            "grid of up to 2e+17 points, over the cap of 1048576",
+        ),
     ],
-    ids=["theta_past_pi", "empty_theta"],
+    ids=["theta_past_pi", "empty_theta", "step_below_rounding"],
 )
 def test_bad_grid_axis_fails_before_set_up(
     small_config, tmp_path, capsys, monkeypatch, axis, message
@@ -244,6 +249,20 @@ def test_non_finite_field_gives_one_error_line(tmp_path, capsys, command, bad):
     err = capsys.readouterr().err
     assert err.startswith("error: line 3: bad value for b_perp")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "series"])
+def test_overflowing_vgue_draw_gives_one_error_line(tmp_path, capsys, command):
+    # epsilon = 1e308 sends eigh's eigenvalues of H_I + eps V to inf: refused before exp
+    # would turn them into NaN with a RuntimeWarning.
+    path = tmp_path / "gue.cfg"
+    text = SMALL.replace("epsilon = 0.1", "epsilon = 1e308").replace("= VJ", "= VGUE")
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.dat"
+    extra = ["--theta", "1.0", "--phi", "2.0"] if command == "series" else []
+    assert main([command, str(path), "--out", str(out), *extra]) == 1
+    assert capsys.readouterr().err == "error: Hermitian matrix has non-finite eigenvalues\n"
     assert not out.exists()
 
 

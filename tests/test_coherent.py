@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import echochain.coherent as coherent_module
 from echochain.coherent import (
     CoherentSpec,
     SphereGrid,
@@ -139,6 +140,28 @@ def test_empty_grid_rejected():
     grid = SphereGrid(1.0, 0.5, 0.1, 0.0, 1.0, 0.1)
     with pytest.raises(ValueError):
         enumerate_grid(grid)
+
+
+def test_grid_point_cap_is_inclusive(monkeypatch):
+    # 3 x 3 points: (1 - 0) / 0.5 + 1 = 3 per axis, exact in floats.
+    monkeypatch.setattr(coherent_module, "MAX_GRID_POINTS", 9)
+    assert len(enumerate_grid(SphereGrid(0.0, 1.0, 0.5, 0.0, 1.0, 0.5))) == 9
+    monkeypatch.setattr(coherent_module, "MAX_GRID_POINTS", 8)
+    with pytest.raises(ValueError, match="grid of up to 9 points, over the cap of 8"):
+        SphereGrid(0.0, 1.0, 0.5, 0.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "grid, points",
+    [
+        ((1.0, 3.0, 1e-320, 2.0, 2.0, 0.5), "inf"),  # the quotient overflows
+        ((1.0, 0.5, 0.1, 0.0, 3.0, 1e-17), r"3e\+17"),  # an empty axis hides no long one
+    ],
+    ids=["step_overflows_the_count", "long_axis_beside_empty_one"],
+)
+def test_grid_over_the_point_cap_refused_before_enumeration(grid, points):
+    with pytest.raises(ValueError, match=f"grid of up to {points} points, over the cap of 1048576"):
+        SphereGrid(*grid)
 
 
 def test_pole_row_states_identical_across_phi():

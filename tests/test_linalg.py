@@ -5,6 +5,7 @@ import pytest
 import scipy.stats
 
 import echochain.linalg as linalg_module
+import echochain.symmetry as symmetry_module
 from echochain import RngStream
 from echochain.linalg import (
     CAYLEY_SHIFTS,
@@ -17,7 +18,9 @@ from echochain.linalg import (
     unitary_phases,
 )
 from echochain.chain import ChainParams, Coupling, assemble_dense, build_floquet_pair
-from echochain.symmetry import DEGENERACY_GAP, build_sector, circular_gaps, ipr, sector_matrix
+from echochain.symmetry import (
+    DEGENERACY_GAP, SymmetryViolationError, build_sector, circular_gaps, ipr, sector_matrix,
+)
 
 from _oracles import (
     charpoly_eigenvalues,
@@ -327,3 +330,32 @@ def test_linalg_refuses_bad_shapes(call, message):
     with pytest.raises(ValueError) as refused:
         call()
     assert (type(refused.value), str(refused.value)) == (ValueError, message)
+
+
+def _one_nan(matrix):
+    matrix = np.array(matrix, dtype=np.complex128)
+    matrix[1, 2] = np.nan
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: unitary_eig(_one_nan(np.eye(4))), ValueError, "matrix is not unitary"),
+        (lambda: hermitian_expm(_one_nan(np.zeros((4, 4)))), ValueError, "not Hermitian"),
+        (lambda: linalg_module._cayley(_one_nan(np.eye(4))), np.linalg.LinAlgError, "none of"),
+        (
+            lambda: symmetry_module._require_no_leak(_one_nan(np.eye(4)), "orbit block"),
+            SymmetryViolationError, r"orbit block is not unitary \(defect nan\)",
+        ),
+        (
+            lambda: ipr(_one_nan(np.eye(4))[:, 2], unitary_eig(np.eye(4))),
+            ValueError, r"outside the eigenbasis span \(deficit nan\)",
+        ),
+    ],
+    ids=["unitarity", "hermiticity", "cayley_norm_cap", "block_leak", "projection_deficit"],
+)
+def test_tolerance_guards_refuse_a_nan(call, error, message):
+    # Each guard is written `not x <= tol`, which a NaN fails; `x > tol` would pass it.
+    with pytest.raises(error, match=message):
+        call()

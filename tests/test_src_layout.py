@@ -1,9 +1,12 @@
-"""The package holds no helpers that only the tests use.
+"""The package holds no helpers that only the tests use, and no NaN-blind guard.
 
 Every top-level ``def`` and ``class`` in ``src/echochain`` must be used in
 ``src/`` besides its own definition (read from the code, not from docstrings),
 or be exported by ``echochain/__init__.py``. A reference that only the tests
 need belongs in ``tests/_oracles.py``.
+
+No ``if`` in the package tests ``x > TOL`` against a float tolerance, which a NaN
+passes.
 """
 
 import ast
@@ -43,3 +46,25 @@ def test_every_top_level_name_is_used_by_the_package():
         and node.name not in used | exported
     }
     assert unused == TRACED_ONLY
+
+
+def _is_tolerance(node):
+    return any(
+        isinstance(name, ast.Name) and (name.id.endswith("_TOL") or name.id == "CAYLEY_NORM_CAP")
+        for name in ast.walk(node)
+    )
+
+
+def test_tolerance_guards_refuse_nan():
+    # `if x > TOL: raise` lets a NaN through, as every comparison with NaN is false;
+    # `if not x <= TOL` refuses it. Integer caps (DENSE_DIM_CAP) never meet a NaN.
+    blind = [
+        f"{module}.py:{node.lineno}"
+        for module, tree in sorted(_trees().items())
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If)
+        and isinstance(node.test, ast.Compare)
+        and isinstance(node.test.ops[0], ast.Gt)
+        and _is_tolerance(node.test.comparators[0])
+    ]
+    assert blind == []

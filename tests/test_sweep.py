@@ -296,10 +296,14 @@ def test_gate_path_sweep_builds_only_the_plus_block(coupling, monkeypatch):
     assert made != (built.minus.kick_fields, built.minus.bond_strengths)
 
 
-@pytest.mark.parametrize("coupling, applies", [(Coupling.V0, 1), (Coupling.V01, 1), (Coupling.VJ, 3)])
+@pytest.mark.parametrize(
+    "coupling, applies",
+    [(Coupling.V0, 1), (Coupling.V01, 1), (Coupling.VJ, 2), (Coupling.VB, 2)],
+)
 def test_context_and_batches_make_only_the_applies_they_need(coupling, applies, monkeypatch):
-    # The context: one apply for U+'s block, and on the block route one per block of U+-;
-    # every one of an operator that build_floquet_pair built, no derived operator.
+    # The context: on the gate route one apply for U+'s block, on the block route one per
+    # block of U+-, whose U+ block also gives the eigensystem; every one of an operator
+    # that build_floquet_pair built, no derived operator.
     # A batch: applies only where fidelity_series steps the gates.
     calls, stepping, applied = [], [], []
 
@@ -327,7 +331,36 @@ def test_context_and_batches_make_only_the_applies_they_need(coupling, applies, 
     calls.clear()
     sweep_module._rows_for_batch(config, context, enumerate_grid(config.grid)[:3])
     assert all(calls)
-    assert bool(calls) == (coupling is not Coupling.VJ)  # VJ steps its blocks
+    assert bool(calls) == (coupling in (Coupling.V0, Coupling.V01))  # VJ and VB step blocks
+
+
+@pytest.mark.parametrize("coupling", [Coupling.VJ, Coupling.VB])
+def test_block_route_context_builds_one_basis(coupling, monkeypatch):
+    # One orbit_blocks call for U+ and U-, one table of permuted states: the IPR and the
+    # stepping coordinates share that basis, and orbit_eig builds nothing of its own.
+    blocks_calls, tables = [], []
+    permuted = symmetry_module._permuted_states
+
+    def spy(ops):
+        blocks_calls.append(list(ops))
+        return orbit_blocks(ops)
+
+    for module in (sweep_module, symmetry_module):
+        monkeypatch.setattr(module, "orbit_blocks", spy)
+    monkeypatch.setattr(
+        symmetry_module, "_permuted_states", lambda n, perms: tables.append(n) or permuted(n, perms)
+    )
+    config = _config(n_qubits=6, coupling=coupling, seed=2, t_cut=20)
+    pairs, _, basis = sweep_module._prepare_context(config)
+    built = build_floquet_pair(config.chain_params)
+    [[plus, minus]] = blocks_calls
+    assert tables == [6]
+    for op, member in ((plus, built.plus), (minus, built.minus)):
+        assert (op.kick_fields, op.bond_strengths) == (member.kick_fields, member.bond_strengths)
+    # orbit_eig overwrote a copy: the blocks still step as built.
+    fresh_basis, fresh = orbit_blocks([built.plus, built.minus])
+    assert np.array_equal(basis.orbit, fresh_basis.orbit)
+    assert np.array_equal(pairs[0].plus, fresh[0]) and np.array_equal(pairs[0].minus, fresh[1])
 
 
 @pytest.mark.parametrize("coupling", [Coupling.VJ, Coupling.V0, Coupling.VGUE])

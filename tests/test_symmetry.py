@@ -12,6 +12,7 @@ from echochain.chain import (
     ChainParams,
     Coupling,
     FloquetOperator,
+    _ising_angles,
     apply_floquet,
     assemble_dense,
     build_floquet_pair,
@@ -234,8 +235,9 @@ def solved_s_block(op):
         solved.append((block, unitary_eig(block)))
         return solved[-1][1]
 
+    basis, (block,) = orbit_blocks([op])
     with mock.patch.object(symmetry_module, "unitary_eig", spy):
-        basis, eig = symmetry_module.orbit_eig(op)
+        eig = symmetry_module.orbit_eig(op, basis, block)
     [(block, s_eig)] = solved
     return orbit_matrix(basis), block, s_eig, eig
 
@@ -254,6 +256,27 @@ def test_symmetrized_block_is_an_exact_compression(coupling, n_qubits):
     basis, block, _, _ = solved_s_block(op)
     assert np.array_equal(basis, orbit_matrix(orbit_blocks([op])[0]))
     assert np.abs(s @ basis - basis @ block).max() < 1e-13
+
+
+@pytest.mark.parametrize("n_qubits", [2, 5, 8])
+@pytest.mark.parametrize("coupling", [Coupling.VJ, Coupling.VB, Coupling.V0, Coupling.V01])
+def test_orbit_eig_solves_the_block_it_is_handed(coupling, n_qubits, monkeypatch):
+    # h B conj(h), formed in B's place, rounds as the out-of-place product does, and
+    # orbit_eig builds and applies nothing of its own.
+    op = build_floquet_pair(ChainParams(n_qubits, 0.9, 1.3, 0.2, coupling)).plus
+    basis, (block,) = orbit_blocks([op])
+    smallest = orbit_matrix(basis).argmax(axis=0)  # each orbit's first basis state
+    h = np.exp(-0.5j * _ising_angles(n_qubits, op.bond_strengths)[smallest])
+    expected = unitary_eig(h[:, np.newaxis] * block * h.conj())
+
+    def refuse(*args):
+        raise AssertionError("orbit_eig built or applied an operator")
+
+    monkeypatch.setattr(symmetry_module, "orbit_blocks", refuse)
+    monkeypatch.setattr(symmetry_module, "apply_floquet", refuse)
+    eig = symmetry_module.orbit_eig(op, basis, block)
+    assert np.array_equal(eig.values, expected.values)
+    assert np.array_equal(eig.vectors, h.conj()[:, np.newaxis] * expected.vectors)
 
 
 def test_orbit_block_of_a_leaking_operator_raises(monkeypatch):

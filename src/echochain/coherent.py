@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -64,6 +65,13 @@ class SphereGrid:
         points = thetas * max(1.0, (self.phi_max - self.phi_min) / self.phi_step + 1.0)
         if not points <= MAX_GRID_POINTS:
             raise ValueError(f"grid of up to {points:.4g} points, over the cap of {MAX_GRID_POINTS}")
+        # A point is valid iff its theta and its phi are, and both axes ascend: the first
+        # point, then the first theta past pi, raise what enumerating the grid would.
+        if not self.thetas or not self.phis:
+            raise ValueError("empty grid range")
+        CoherentSpec(self.thetas[0], self.phis[0])
+        if (past_pi := bisect.bisect_right(self.thetas, math.pi)) < len(self.thetas):
+            CoherentSpec(self.thetas[past_pi], self.phis[0])
 
     @cached_property
     def thetas(self) -> tuple[float, ...]:
@@ -79,26 +87,12 @@ class SphereGrid:
 def _axis_values(lo: float, hi: float, step: float) -> tuple[float, ...]:
     # Endpoint rule: include lo + i*step while it does not exceed hi beyond
     # 1e-9 of a step, so accumulated float error never drops or adds a point.
-    values = []
-    i = 0
-    while (v := lo + i * step) <= hi + 1e-9 * step:
-        values.append(v)
-        i += 1
-    return tuple(values)
-
-
-def check_grid(grid: SphereGrid) -> None:
-    """Raises what ``enumerate_grid`` would, from the phis at thetas[0], then the thetas at
-    phis[0]: a point is valid iff its theta and its phi are, so the grid's size never enters."""
-    if not grid.thetas or not grid.phis:
-        raise ValueError("empty grid range")
-    for phi in grid.phis:
-        CoherentSpec(grid.thetas[0], phi)
-    for theta in grid.thetas:
-        CoherentSpec(theta, grid.phis[0])
+    # The candidates ascend, so the rule keeps a prefix of them; an empty axis has none,
+    # also where its quotient is -inf (a step far below max - min < 0).
+    values = lo + np.arange(math.floor(max(-2.0, (hi - lo) / step)) + 2) * step
+    return tuple(values[values <= hi + 1e-9 * step].tolist())
 
 
 def enumerate_grid(grid: SphereGrid) -> list[CoherentSpec]:
     """Theta-major, then phi; pole rows are kept even though degenerate."""
-    check_grid(grid)
     return [CoherentSpec(t, p) for t in grid.thetas for p in grid.phis]

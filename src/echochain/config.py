@@ -5,10 +5,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 from typing import get_type_hints
 
 from .chain import ChainParams, Coupling
-from .coherent import SphereGrid, check_grid
+from .coherent import SphereGrid
 
 
 class ConfigError(ValueError):
@@ -59,7 +60,7 @@ class RunConfig:
         # Surface parameter errors as config errors at parse time.
         try:
             self.chain_params
-            check_grid(self.grid)
+            self.grid
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -67,7 +68,7 @@ class RunConfig:
     def chain_params(self) -> ChainParams:
         return ChainParams(self.n_qubits, self.b_perp, self.b_par, self.epsilon, self.coupling)
 
-    @property
+    @cached_property
     def grid(self) -> SphereGrid:
         return SphereGrid(
             self.theta_min, self.theta_max, self.theta_step,

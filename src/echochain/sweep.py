@@ -54,56 +54,83 @@ class SweepRow:
 CSV_FIELDS = tuple(f.name for f in fields(SweepRow))
 
 
-def _propagators(config: RunConfig, samples: int) -> tuple:
-    """(orbit basis or None, U+ as built, one FloquetPair per sample in the form it steps in).
+def _propagators(config: RunConfig, sample: int) -> tuple:
+    """(orbit basis or None, U+ as built, the sample's FloquetPair in the form it steps in).
 
     Uniform operators step in orbit blocks and are dropped; VGUE's matrices step as built
     (no basis), and the other operators keep the gates, cheaper than reflection-even blocks.
     """
-    params = config.chain_params
-    built = tuple(build_floquet_pair(params, RngStream(config.seed, m)) for m in range(samples))
-    plus, minus = built[0].plus, built[0].minus
-    if not (isinstance(plus, FloquetOperator) and is_uniform([plus, minus])):
-        return None, plus, built
-    basis, blocks = orbit_blocks([plus, minus])
-    return basis, plus, (FloquetPair(*blocks),)
+    pair = build_floquet_pair(config.chain_params, RngStream(config.seed, sample))
+    if not (isinstance(pair.plus, FloquetOperator) and is_uniform([pair.plus, pair.minus])):
+        return None, pair.plus, pair
+    basis, blocks = orbit_blocks([pair.plus, pair.minus])
+    return basis, pair.plus, FloquetPair(*blocks)
 
 
-def _prepare_context(config: RunConfig) -> tuple:
-    """(pairs as they step, the IPR eigensystem of each pair's U+, orbit basis or None).
+def _prepare_context(config: RunConfig, sample: int) -> tuple:
+    """(the sample's pair as it steps, the IPR eigensystem of its U+, orbit basis or None).
 
     The IPR amplitudes are <u_n|psi> over the eigenvectors u_n of U+. An operator U+
     gives them in the coordinates C^T psi over the eigenvectors of its own orbit block
     (``orbit_eig``), over the one basis the block route steps in and the gate route builds.
-    VGUE's dense U+ has no orbit basis: its own eigensystem per sample, on the full state.
+    VGUE's dense U+ has no orbit basis: its own eigensystem, on the full state.
     """
-    basis, plus, pairs = _propagators(config, config.gue_samples)
+    basis, plus, pair = _propagators(config, sample)
     if not isinstance(plus, FloquetOperator):
-        return pairs, tuple(unitary_eig(pair.plus) for pair in pairs), None
+        return pair, unitary_eig(pair.plus), None
     # The gate route builds U+'s block alone; the block route copies the one U+ steps in.
-    basis, (block,) = orbit_blocks([plus]) if basis is None else (basis, (pairs[0].plus.copy(),))
-    return pairs, (orbit_eig(plus, basis, block),), basis
+    basis, (block,) = orbit_blocks([plus]) if basis is None else (basis, (pair.plus.copy(),))
+    return pair, orbit_eig(plus, basis, block), basis
 
 
-def _rows_for_batch(config: RunConfig, context: tuple, specs: list[CoherentSpec]) -> list[SweepRow]:
-    pairs, eigs, basis = context
+def _measures_for_batch(config: RunConfig, context: tuple, specs: list[CoherentSpec]) -> np.ndarray:
+    """One row per SweepRow measure field, one column per grid point, of one context."""
+    pair, eig, basis = context
     psis = np.stack([build_coherent_state(spec, config.n_qubits) for spec in specs], axis=1)
     coords = psis if basis is None else basis.coords(psis)
-    states = psis if isinstance(pairs[0].plus, FloquetOperator) else coords
-    per_sample = []
-    for pair, eig in zip(pairs, eigs):
-        # ipr() refuses coordinates that lost norm: a leaking state fails before any period.
-        state_ipr = ipr(coords, eig)
-        series = fidelity_series(pair, states, config.t_cut)
-        report = compute_report(series)
-        tail = asymptotic_fidelity(series, config.tail_window_fraction)
-        per_sample.append((
-            state_ipr,
-            report.blp, report.rhp, report.nd_max, report.nd_avg, report.ng_max, report.ng_avg,
-            tail.mean_F2, tail.mean_F, report.clamp_events,
-        ))
-    # One row of means per SweepRow measure field, one column per grid point.
-    means = np.mean(np.array(per_sample, dtype=float), axis=0)
+    # ipr() refuses coordinates that lost norm: a leaking state fails before any period.
+    state_ipr = ipr(coords, eig)
+    states = psis if isinstance(pair.plus, FloquetOperator) else coords
+    series = fidelity_series(pair, states, config.t_cut)
+    report = compute_report(series)
+    tail = asymptotic_fidelity(series, config.tail_window_fraction)
+    return np.array([
+        state_ipr,
+        report.blp, report.rhp, report.nd_max, report.nd_avg, report.ng_max, report.ng_avg,
+        tail.mean_F2, tail.mean_F, report.clamp_events,
+    ], dtype=float)
+
+
+def run_sweep(config: RunConfig) -> list[SweepRow]:
+    """One row per grid point, in grid order, the mean over ``gue_samples`` samples.
+
+    Each sample's context is built, run and freed before the next one's. Its points
+    evolve together as the columns of one array, in batches of at most ``BATCH_BYTES``.
+    After every batch but the last, a progress line on stderr gives the time left.
+    """
+    if config.t_cut < 2:
+        raise ValueError("t_cut must be >= 2 for a tail average")
+    points = enumerate_grid(config.grid)
+    total, done = config.gue_samples * len(points), 0
+    # -0.0 + x is x bit for bit: the sum starts from sample 0's values, as np.mean does.
+    sums = np.full((len(CSV_FIELDS) - 3, len(points)), -0.0)
+    began = None
+    for sample in range(config.gue_samples):
+        context = _prepare_context(config, sample)
+        began = began or time.perf_counter()  # the time left counts later samples' set-up
+        plus = context[0].plus
+        time_blocks = 0 if isinstance(plus, FloquetOperator) else 2 * PERIODS_PER_BLOCK * len(plus)
+        per_point = 3 * (config.t_cut + 1) + 4 * (1 << config.n_qubits) + time_blocks
+        width = max(1, BATCH_BYTES // (16 * per_point))
+        for start in range(0, len(points), width):
+            batch = points[start : start + width]
+            sums[:, start : start + len(batch)] += _measures_for_batch(config, context, batch)
+            done += len(batch)
+            if done < total:
+                left = (time.perf_counter() - began) * (total / done - 1)
+                print(f"{done}/{total} points, about {left:.1f} s left", file=sys.stderr)
+        del context, plus  # one sample's U+- and eigensystem at a time
+    means = sums / config.gue_samples
     _, _, rhp, nd_max, nd_avg, ng_max, *_ = means
     if not np.array_equal(rhp, ng_max):
         raise RuntimeError("row identity rhp == ng_max violated")
@@ -111,35 +138,8 @@ def _rows_for_batch(config: RunConfig, context: tuple, specs: list[CoherentSpec]
         raise RuntimeError("row invariant nd_avg <= nd_max violated")
     if config.normalize_by_tcut:  # blp and rhp, the two measures unbounded in t_cut
         means[1:3] /= config.t_cut
-    return [
-        SweepRow(spec.theta, spec.phi, spec.hemisphere, *values)
-        for spec, values in zip(specs, means.T.tolist())
-    ]
-
-
-def run_sweep(config: RunConfig) -> list[SweepRow]:
-    """One row per grid point, in grid order.
-
-    The points evolve together as the columns of one array, in batches of at
-    most ``BATCH_BYTES``. After every batch but the last, a progress line on
-    stderr gives the time left, extrapolated from the batches so far.
-    """
-    if config.t_cut < 2:
-        raise ValueError("t_cut must be >= 2 for a tail average")
-    context = _prepare_context(config)
-    points = enumerate_grid(config.grid)
-    plus = context[0][0].plus
-    time_blocks = 0 if isinstance(plus, FloquetOperator) else 2 * PERIODS_PER_BLOCK * len(plus)
-    per_point = 3 * (config.t_cut + 1) + 4 * (1 << config.n_qubits) + time_blocks
-    width = max(1, BATCH_BYTES // (16 * per_point))
-    rows: list[SweepRow] = []
-    began = time.perf_counter()
-    for start in range(0, len(points), width):
-        rows.extend(_rows_for_batch(config, context, points[start : start + width]))
-        if len(rows) < len(points):
-            left = (time.perf_counter() - began) * (len(points) / len(rows) - 1)
-            print(f"{len(rows)}/{len(points)} points, about {left:.1f} s left", file=sys.stderr)
-    return rows
+    rows = zip(points, means.T.tolist())
+    return [SweepRow(spec.theta, spec.phi, spec.hemisphere, *values) for spec, values in rows]
 
 
 def _csv_lines(header: tuple[str, ...], rows: list) -> list[str]:
@@ -167,7 +167,7 @@ def write_spacing_histogram(report: SpectralReport, path: str) -> None:
 
 def run_series(config: RunConfig, spec: CoherentSpec) -> FidelitySeries:
     """f(t), t = 0..t_cut, of one coherent state, evolved as in a sweep."""
-    basis, _, (pair,) = _propagators(config, 1)
+    basis, _, pair = _propagators(config, 0)
     psi = build_coherent_state(spec, config.n_qubits)
     # fidelity_series refuses coordinates that lost norm: a state leaking out of the basis.
     return fidelity_series(pair, psi if basis is None else basis.coords(psi), config.t_cut)

@@ -19,6 +19,16 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 ID2 = np.eye(2, dtype=np.complex128)
 
 
+def axis_values(lo: float, hi: float, step: float) -> tuple[float, ...]:
+    """lo + i*step for i = 0, 1, ... while it does not exceed hi beyond 1e-9 of a step."""
+    values = []
+    i = 0
+    while (v := lo + i * step) <= hi + 1e-9 * step:
+        values.append(v)
+        i += 1
+    return tuple(values)
+
+
 def site_operator(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
     """op acting on one qubit, identity elsewhere; bit i of the index is qubit i."""
     m = np.eye(1, dtype=np.complex128)

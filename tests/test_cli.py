@@ -195,7 +195,7 @@ def test_quarter_turn_phi_axis_sweeps_eight_points(small_config, capsys):
 def test_bad_grid_axis_fails_before_set_up(
     small_config, tmp_path, capsys, monkeypatch, axis, message
 ):
-    def refuse(config):
+    def refuse(config, sample):
         raise AssertionError("the context was built for a config that cannot run")
 
     monkeypatch.setattr(sweep_module, "_prepare_context", refuse)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import echochain.coherent as coherent_module
 from echochain.coherent import (
@@ -9,7 +11,9 @@ from echochain.coherent import (
     enumerate_grid,
 )
 
-from _oracles import coherent_overlap, inner_product, kron_coherent
+from _oracles import axis_values, coherent_overlap, inner_product, kron_coherent
+
+AXIS_SETTINGS = settings(derandomize=True, database=None, max_examples=400, deadline=None)
 
 
 def test_north_pole_is_index_zero():
@@ -137,9 +141,33 @@ def test_grid_endpoint_inclusion_is_robust():
 
 
 def test_empty_grid_rejected():
-    grid = SphereGrid(1.0, 0.5, 0.1, 0.0, 1.0, 0.1)
     with pytest.raises(ValueError):
-        enumerate_grid(grid)
+        SphereGrid(1.0, 0.5, 0.1, 0.0, 1.0, 0.1)
+
+
+def test_empty_axis_with_a_vanishing_step_is_empty():
+    # (max - min) / step is -inf: the axis has no candidate, and no count overflows.
+    with pytest.raises(ValueError, match="empty grid range"):
+        SphereGrid(1.0, 0.5, 1e-320, 0.0, 1.0, 0.5)
+
+
+@AXIS_SETTINGS
+@given(
+    st.floats(-10.0, 10.0),
+    st.floats(1e-3, 10.0),
+    st.integers(-3, 300),
+    st.one_of(st.sampled_from([0.0, 1e-9, -1e-9, 0.5, -0.5]), st.floats(-2e-9, 2e-9)),
+)
+def test_axis_values_match_the_stepping_loop(lo, step, steps, nudge):
+    # The closed form against the loop it replaced, bit for bit (float.hex tells -0.0
+    # apart), with the upper end at or near a multiple of the step, where the endpoint
+    # rule decides. Steps stay above the rounding of the axis values, below which the
+    # loop repeats a value.
+    hi = lo + (steps + nudge) * step
+    expected = axis_values(lo, hi, step)
+    assert list(map(float.hex, coherent_module._axis_values(lo, hi, step))) == list(
+        map(float.hex, expected)
+    )
 
 
 def test_grid_point_cap_is_inclusive(monkeypatch):

@@ -7,6 +7,7 @@ name it cannot find, so a rename would silently empty a per-layer metric.
 import importlib
 import importlib.util
 import io
+import json
 import pickle
 import subprocess
 import sys
@@ -49,7 +50,8 @@ def test_sweep_context_pickles():
         n_qubits=6, b_perp=0.9, b_par=1.4, epsilon=0.1, coupling=Coupling.VJ, t_cut=10,
         theta_min=0.5, theta_max=0.5, theta_step=1.0, phi_min=0.5, phi_max=0.5, phi_step=1.0,
     )
-    assert pickle.loads(pickle.dumps(_prepare_context(config)))
+    for sample in range(config.gue_samples):
+        assert pickle.loads(pickle.dumps(_prepare_context(config, sample)))
 
 
 def test_vgue_sweep_context_holds_no_dense_factor():
@@ -72,10 +74,32 @@ def test_vgue_sweep_context_holds_no_dense_factor():
                 held.append(obj)
             return None
 
-    context = _prepare_context(config)
-    Visitor(io.BytesIO()).dump(context)
-    assert held == []
-    assert pickle.loads(pickle.dumps(context))
+    for sample in range(config.gue_samples):
+        context = _prepare_context(config, sample)
+        Visitor(io.BytesIO()).dump(context)
+        assert held == []
+        assert pickle.loads(pickle.dumps(context))
+
+
+def test_trace_run_sizes_a_multi_sample_sweep(tmp_path):
+    # The tracer end to end: every traced name found, and each sample's context sized.
+    config = tmp_path / "sweep.cfg"
+    config.write_text(
+        "n_qubits = 6\nb_perp = 0.9\nb_par = 1.4\nepsilon = 0.1\ncoupling = VGUE\n"
+        "t_cut = 20\ngue_samples = 2\ntheta_min = 0.5\ntheta_max = 0.5\n"
+        "phi_min = 0.5\nphi_max = 0.5\n",
+        encoding="utf-8",
+    )
+    trace = tmp_path / "trace.json"
+    result = subprocess.run(
+        [sys.executable, str(TRACE_RUN), str(trace), "sweep", str(config),
+         "--out", str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    recorded = json.loads(trace.read_text(encoding="utf-8"))
+    assert recorded["missing"] == []
+    assert recorded["ctx_bytes"] > 0
 
 
 @pytest.mark.parametrize("coupling", ["VJ", "VGUE"])

@@ -1,7 +1,8 @@
 import os
 import re
+import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -209,6 +210,58 @@ def test_vgue_rows_average_over_samples():
     assert row.blp == pytest.approx(np.mean(per_sample), rel=1e-12)
 
 
+def test_sample_mean_is_np_mean_bit_for_bit():
+    config = _config(coupling=Coupling.VGUE, gue_samples=3, seed=5, t_cut=60)
+    points = enumerate_grid(config.grid)
+    per_sample = [
+        sweep_module._measures_for_batch(config, sweep_module._prepare_context(config, s), points)
+        for s in range(3)
+    ]
+    expected = np.mean(np.array(per_sample), axis=0).T
+    got = np.array([astuple(row)[3:] for row in run_sweep(config)])
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_one_sample_keeps_negative_zeros(monkeypatch):
+    # The running sum starts from sample 0's values, as np.mean does: -0.0 stays -0.0.
+    monkeypatch.setattr(
+        sweep_module, "_measures_for_batch",
+        lambda config, context, specs: np.full((len(CSV_FIELDS) - 3, len(specs)), -0.0),
+    )
+    rows = run_sweep(_config())
+    assert all(np.signbit(astuple(row)[3:]).all() for row in rows)
+
+
+def test_progress_counts_point_samples(capsys):
+    config = _config(
+        coupling=Coupling.VGUE, gue_samples=3, seed=3, t_cut=20,
+        theta_min=1.0, theta_max=1.0, phi_min=2.0, phi_max=2.0,
+    )
+    run_sweep(config)
+    progress = capsys.readouterr().err.splitlines()
+    assert len(progress) == 2  # after every batch but the last of the last sample
+    for done, line in enumerate(progress, start=1):
+        assert re.fullmatch(rf"{done}/3 points, about \d+\.\d s left", line), line
+
+
+def test_sweep_memory_does_not_grow_with_samples():
+    # Each sample's U+- (N=8: 1 MiB each) and eigensystem are freed before the next
+    # sample is drawn, so four samples peak no higher than one plus one 256^2 matrix.
+    config = _config(
+        n_qubits=8, coupling=Coupling.VGUE, seed=3, t_cut=20,
+        theta_min=1.0, theta_max=1.0, phi_min=2.0, phi_max=2.0,
+    )
+    peaks = []
+    for samples in (1, 4):
+        tracemalloc.start()
+        try:
+            run_sweep(replace(config, gue_samples=samples))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + (1 << 20), peaks
+
+
 @pytest.mark.parametrize(
     "coupling, samples", [(Coupling.VJ, 1), (Coupling.V0, 1), (Coupling.VGUE, 3)]
 )
@@ -323,13 +376,13 @@ def test_context_and_batches_make_only_the_applies_they_need(coupling, applies, 
         monkeypatch.setattr(module, "apply_floquet", counted, raising=False)
     monkeypatch.setattr(sweep_module, "fidelity_series", series)
     config = _config(n_qubits=6, coupling=coupling, seed=2, t_cut=20)
-    context = sweep_module._prepare_context(config)
+    context = sweep_module._prepare_context(config, 0)
     assert calls == [False] * applies
     built = build_floquet_pair(config.chain_params)
     members = [(op.kick_fields, op.bond_strengths) for op in (built.plus, built.minus)]
     assert all(op in members for op in applied)
     calls.clear()
-    sweep_module._rows_for_batch(config, context, enumerate_grid(config.grid)[:3])
+    sweep_module._measures_for_batch(config, context, enumerate_grid(config.grid)[:3])
     assert all(calls)
     assert bool(calls) == (coupling in (Coupling.V0, Coupling.V01))  # VJ and VB step blocks
 
@@ -351,7 +404,7 @@ def test_block_route_context_builds_one_basis(coupling, monkeypatch):
         symmetry_module, "_permuted_states", lambda n, perms: tables.append(n) or permuted(n, perms)
     )
     config = _config(n_qubits=6, coupling=coupling, seed=2, t_cut=20)
-    pairs, _, basis = sweep_module._prepare_context(config)
+    pair, _, basis = sweep_module._prepare_context(config, 0)
     built = build_floquet_pair(config.chain_params)
     [[plus, minus]] = blocks_calls
     assert tables == [6]
@@ -360,7 +413,7 @@ def test_block_route_context_builds_one_basis(coupling, monkeypatch):
     # orbit_eig overwrote a copy: the blocks still step as built.
     fresh_basis, fresh = orbit_blocks([built.plus, built.minus])
     assert np.array_equal(basis.orbit, fresh_basis.orbit)
-    assert np.array_equal(pairs[0].plus, fresh[0]) and np.array_equal(pairs[0].minus, fresh[1])
+    assert np.array_equal(pair.plus, fresh[0]) and np.array_equal(pair.minus, fresh[1])
 
 
 @pytest.mark.parametrize("coupling", [Coupling.VJ, Coupling.V0, Coupling.VGUE])

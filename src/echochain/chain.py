@@ -89,6 +89,11 @@ class FloquetOperator:
     def __post_init__(self) -> None:
         if len(self.bond_strengths) != len(self.kick_fields):
             raise ValueError("periodic chain needs exactly one bond per qubit")
+        # A finite sum |J_i| bounds every partial sum of an Ising angle, which adds J_i in order.
+        if not math.isfinite(sum(map(abs, self.bond_strengths))):
+            raise ValueError("Ising phases overflow: sum |J_i| of the bond strengths is not finite")
+        if not all(math.isfinite(math.hypot(bx, bz)) for bx, bz in self.kick_fields):
+            raise ValueError("kick phases overflow: hypot(bx, bz) of a kick field is not finite")
 
     @property
     def n_qubits(self) -> int:
@@ -159,10 +164,10 @@ def build_floquet_pair(params: ChainParams, rng: RngStream | None = None) -> Flo
     if rng is None:
         raise ValueError("VGUE coupling needs an rng for its random draw")
     # H_I +- eps V in one buffer: eps V, then its negative, with the angles on the diagonal.
+    kicks = FloquetOperator(base_kick, base_bonds)  # refuses overflowing kicks before the draw
     v = sample_gue(params.dim, rng)
     v *= eps
     diagonal, angles = np.diag_indices(params.dim), _ising_angles(n, base_bonds)
-    kicks = FloquetOperator(base_kick, base_bonds)
     h = v.copy()
     h[diagonal] += angles
     plus = _apply_kicks(kicks, hermitian_expm(h))

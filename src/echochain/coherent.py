@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 # Most grid points a config may ask for, counted before any axis is enumerated; the
-# default grid has 2,016. A step too small to move its axis would otherwise never end it.
+# default grid has 2,016. A step far below its axis range would otherwise ask for too many.
 MAX_GRID_POINTS = 1 << 20
 
 
@@ -90,7 +90,10 @@ def _axis_values(lo: float, hi: float, step: float) -> tuple[float, ...]:
     # The candidates ascend, so the rule keeps a prefix of them; an empty axis has none,
     # also where its quotient is -inf (a step far below max - min < 0).
     values = lo + np.arange(math.floor(max(-2.0, (hi - lo) / step)) + 2) * step
-    return tuple(values[values <= hi + 1e-9 * step].tolist())
+    values = values[values <= hi + 1e-9 * step]
+    if np.any(values[1:] <= values[:-1]):
+        raise ValueError(f"grid step {step:.4g} is below the rounding of its axis values")
+    return tuple(values.tolist())
 
 
 def enumerate_grid(grid: SphereGrid) -> list[CoherentSpec]:

@@ -132,10 +132,7 @@ def parse_config_text(text: str) -> RunConfig:
     missing = [key for key in _REQUIRED if key not in raw]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    try:
-        return RunConfig(**raw)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**raw)  # its checks raise ConfigError
 
 
 def parse_config(path: str) -> RunConfig:

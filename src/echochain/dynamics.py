@@ -6,6 +6,7 @@ import math
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,17 +37,19 @@ class FidelitySeries:
         if not np.all(self.f[0] == 1.0):
             raise ValueError("f(0) must be exactly 1")
         # Written so that NaN fails the bound as well.
-        if not np.all(np.abs(self.f) <= 1.0 + AMPLITUDE_BOUND_TOL):
+        if not np.all(self.amplitude <= 1.0 + AMPLITUDE_BOUND_TOL):
             raise ValueError("|f| exceeded 1 beyond tolerance or is not finite")
 
     @property
     def t_cut(self) -> int:
         return len(self.f) - 1
 
-    @property
+    @cached_property
     def amplitude(self) -> np.ndarray:
-        """F(t) = |f(t)|."""
-        return np.abs(self.f)
+        """F(t) = |f(t)|, computed once and read-only."""
+        amp = np.abs(self.f)
+        amp.setflags(write=False)
+        return amp
 
 
 def fidelity_series(pair: FloquetPair, psi: np.ndarray, t_cut: int) -> FidelitySeries:
@@ -108,7 +111,6 @@ class AsymptoticFidelity:
 
     mean_F: float | np.ndarray
     mean_F2: float | np.ndarray
-    window: tuple[int, int]
 
     def __post_init__(self) -> None:
         if not np.all((-1e-12 <= self.mean_F2) & (self.mean_F2 <= self.mean_F + 1e-12)):
@@ -129,7 +131,7 @@ def asymptotic_fidelity(series: FidelitySeries, tail_fraction: float = 0.5) -> A
     mean_f, mean_f2 = np.mean(amp, axis=-1), np.mean(amp**2, axis=-1)
     if series.f.ndim == 1:
         mean_f, mean_f2 = float(mean_f), float(mean_f2)
-    return AsymptoticFidelity(mean_f, mean_f2, (start, series.t_cut))
+    return AsymptoticFidelity(mean_f, mean_f2)
 
 
 def write_lines(lines: Iterable[str], path: str) -> None:

@@ -44,13 +44,6 @@ def _rise_sum(k: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rise_above_min(k: np.ndarray) -> np.ndarray:
-    # Running max over end times of K(t_f) minus the minimum of K up to t_f.
-    out = np.minimum.accumulate(k, axis=0)
-    np.subtract(k, out, out=out)
-    return np.maximum.accumulate(out, axis=0, out=out)
-
-
 def _rise_above_mean(k: np.ndarray) -> np.ndarray:
     # Running max over end times of K(t_f) minus the mean of K over earlier
     # times, floored at zero by the zero in row 0.
@@ -77,14 +70,13 @@ def compute_report(series: FidelitySeries, checkpoints=None) -> NmReport:
     amp = series.amplitude.reshape(len(series.f), -1)
     clamps = np.add.accumulate(amp < F_FLOOR, axis=0, dtype=np.int64)[rows]
     blp = _rise_sum(amp)[rows]
-    nd_max = _rise_above_min(amp)[rows]
+    # F(t_f) minus its minimum up to t_f, maximised over end times; no temporary outlives it.
+    nd_max = np.maximum.accumulate(amp - np.minimum.accumulate(amp, axis=0), axis=0)[rows]
     nd_avg = _rise_above_mean(amp)[rows]
     g = _rise_sum(np.log(np.maximum(amp, F_FLOOR)))
-    rhp = g[rows]
-    ng_max = _rise_above_min(g)[rows]
+    # G never falls from G(0) = 0, so it is its own rise above its running minimum.
+    rhp = ng_max = g[rows]
     ng_avg = _rise_above_mean(g)[rows]
-    if not np.array_equal(rhp, ng_max):
-        raise RuntimeError("internal identity rhp == n_max(G) violated")
 
     def shaped(values: np.ndarray):
         values = values.reshape(rows.shape + series.f.shape[1:])

@@ -18,6 +18,8 @@ PROJECTION_DEFICIT_TOL = 1e-10
 DEGENERATE_WEIGHT_TOL = 1e-8
 DEGENERACY_GAP = 1e-10
 MIN_BRODY_SPACINGS = 50
+HISTOGRAM_BIN_WIDTH = 0.1
+HISTOGRAM_S_MAX = 5.0
 # Bytes of complex images per chunk of the columns that orbit_blocks and sector_matrix apply
 # U to. On one BLAS thread, the five N=12 spectral sector blocks took 87-92 ms at 0.5-2 MiB,
 # 96 ms at 4 MiB and 110 ms in one chunk, with traced peaks of 12-21, 33 and 97 MiB; VJ's
@@ -185,10 +187,11 @@ def is_uniform(ops: Sequence[FloquetOperator]) -> bool:
 class OrbitBasis:
     """The real orbit basis C: row b holds 1/sqrt(sizes[orbit[b]]) in column orbit[b], else 0.
 
-    Orbits are numbered in the order of their smallest members.
+    Orbits are numbered in the order of their smallest members, ``smallest``.
     """
 
     orbit: np.ndarray
+    smallest: np.ndarray
     sizes: np.ndarray
 
     @cached_property
@@ -236,11 +239,11 @@ def orbit_blocks(ops: Sequence[FloquetOperator]) -> tuple[OrbitBasis, tuple[np.n
     # before the (2^N, |G|) table of images.
     if ops[0].dim > len(perms) * DENSE_DIM_CAP:
         raise ValueError(f"dense assembly refused beyond dimension {DENSE_DIM_CAP}")
-    smallest = _permuted_states(ops[0].n_qubits, perms).min(axis=1)
-    _, orbit, sizes = np.unique(smallest, return_inverse=True, return_counts=True)
+    least = _permuted_states(ops[0].n_qubits, perms).min(axis=1)  # each state's orbit minimum
+    smallest, orbit, sizes = np.unique(least, return_inverse=True, return_counts=True)
     if len(sizes) > DENSE_DIM_CAP:
         raise ValueError(f"dense assembly refused beyond dimension {DENSE_DIM_CAP}")
-    basis, scale = OrbitBasis(orbit, sizes), 1.0 / np.sqrt(sizes)
+    basis, scale = OrbitBasis(orbit, smallest, sizes), 1.0 / np.sqrt(sizes)
 
     def columns(cols: slice) -> np.ndarray:  # C[:, cols]
         return np.where(orbit[:, np.newaxis] == np.arange(cols.start, cols.stop), scale[cols], 0.0)
@@ -267,9 +270,8 @@ def orbit_eig(op: FloquetOperator, basis: OrbitBasis, block: np.ndarray) -> Eige
     one phase h on each orbit, so C^T S C = h B conj(h), and B has the eigenvectors
     conj(h) s with S's residual.
     """
-    # I^1/2 at each orbit's smallest member, its first basis state.
-    smallest = np.unique(basis.orbit, return_index=True)[1]
-    h = np.exp(-0.5j * _ising_angles(op.n_qubits, op.bond_strengths)[smallest])
+    # I^1/2 at each orbit's smallest member.
+    h = np.exp(-0.5j * _ising_angles(op.n_qubits, op.bond_strengths)[basis.smallest])
     # h B conj(h) in B's place; in this operand order it rounds as h[:, None] * B * conj(h).
     np.multiply(np.multiply(h[:, np.newaxis], block, out=block), h.conj(), out=block)
     eig = unitary_eig(block)
@@ -422,12 +424,10 @@ def spacing_statistics(op: FloquetOperator) -> SpectralReport:
     return SpectralReport(spacings, tuple(used), q, loglik, *ks)
 
 
-def spacing_histogram(
-    spacings: np.ndarray, bin_width: float = 0.1, s_max: float = 5.0
-) -> tuple[np.ndarray, np.ndarray]:
+def spacing_histogram(spacings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(bin centers, density) with density normalized by the full sample count."""
-    edges = np.arange(0.0, s_max + bin_width / 2.0, bin_width)
+    edges = np.arange(0.0, HISTOGRAM_S_MAX + HISTOGRAM_BIN_WIDTH / 2.0, HISTOGRAM_BIN_WIDTH)
     counts, _ = np.histogram(np.asarray(spacings, dtype=float), bins=edges)
     centers = (edges[:-1] + edges[1:]) / 2.0
-    density = counts / (len(spacings) * bin_width)
+    density = counts / (len(spacings) * HISTOGRAM_BIN_WIDTH)
     return centers, density

@@ -189,8 +189,17 @@ def test_quarter_turn_phi_axis_sweeps_eight_points(small_config, capsys):
             "theta_max = 3.0\ntheta_step = 1e-17\n",
             "grid of up to 2e+17 points, over the cap of 1048576",
         ),
+        # Under the cap, a step below the rounding of the axis repeats its points.
+        (
+            "theta_max = 1.0\ntheta_step = 1e-17\n",
+            "grid step 1e-17 is below the rounding of its axis values",
+        ),
+        (
+            "theta_max = 1.0000000000000002\ntheta_step = 1e-17\n",
+            "grid step 1e-17 is below the rounding of its axis values",
+        ),
     ],
-    ids=["theta_past_pi", "empty_theta", "step_below_rounding"],
+    ids=["theta_past_pi", "empty_theta", "step_below_rounding", "repeated_point", "repeated_points"],
 )
 def test_bad_grid_axis_fails_before_set_up(
     small_config, tmp_path, capsys, monkeypatch, axis, message
@@ -266,13 +275,56 @@ def test_overflowing_vgue_draw_gives_one_error_line(tmp_path, capsys, command):
     assert not out.exists()
 
 
+BONDS_OVERFLOW = "error: Ising phases overflow: sum |J_i| of the bond strengths is not finite\n"
+KICKS_OVERFLOW = "error: kick phases overflow: hypot(bx, bz) of a kick field is not finite\n"
+HUGE_FIELDS = {"b_perp = 0.3": "b_perp = 1.7e308", "b_par = 1.4": "b_par = 1.7e308"}
+
+
+@pytest.mark.parametrize(
+    "edits, command, message",
+    [
+        ({"epsilon = 0.1": "epsilon = 1e308"}, "sweep", BONDS_OVERFLOW),
+        ({"epsilon = 0.1": "epsilon = 1e308"}, "series", BONDS_OVERFLOW),
+        ({"epsilon = 0.1": "epsilon = 1e308"}, "saturate", BONDS_OVERFLOW),
+        ({"epsilon = 0.1": "epsilon = 1e308"}, "spectral", BONDS_OVERFLOW),
+        ({"n_qubits = 4": "n_qubits = 2", "epsilon = 0.1": "epsilon = 1e308"}, "sweep",
+         BONDS_OVERFLOW),
+        ({"b_perp = 0.3": "b_perp = 1.7e308", "epsilon = 0.1": "epsilon = 1.7e308",
+          "= VJ": "= VB"}, "series", KICKS_OVERFLOW),
+        ({**HUGE_FIELDS, "= VJ": "= V0"}, "saturate", KICKS_OVERFLOW),
+        ({**HUGE_FIELDS, "= VJ": "= VGUE"}, "sweep", KICKS_OVERFLOW),
+    ],
+    ids=["vj_sweep", "vj_series", "vj_saturate", "vj_spectral", "vj_two_qubits", "vb_kick",
+         "v0_fields", "vgue_fields"],
+)
+def test_overflowing_phases_give_one_error_line(tmp_path, edits, command, message):
+    # Finite inputs whose phase angles overflow: refused where the operator is made,
+    # in a child process so that any RuntimeWarning would reach its stderr.
+    text = SMALL
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    path = tmp_path / "huge.cfg"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.dat"
+    extra = {
+        "series": ["--theta", "1.0", "--phi", "2.0"],
+        "saturate": ["--theta", "1.0", "--phi", "2.0", "--checkpoints", "10,20"],
+    }.get(command, [])
+    result = subprocess.run(
+        [sys.executable, "-m", "echochain", command, str(path), "--out", str(out), *extra],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", message)
+    assert not out.exists()
+
+
 def test_runtime_error_gives_one_error_line(small_config, capsys, monkeypatch):
     def broken(config):
-        raise RuntimeError("row identity rhp == ng_max violated")
+        raise RuntimeError("row invariant nd_avg <= nd_max violated")
 
     monkeypatch.setattr("echochain.cli.run_sweep", broken)
     assert main(["sweep", str(small_config)]) == 1
-    assert capsys.readouterr().err == "error: row identity rhp == ng_max violated\n"
+    assert capsys.readouterr().err == "error: row invariant nd_avg <= nd_max violated\n"
 
 
 def test_memory_error_gives_one_error_line(small_config, tmp_path, capsys, monkeypatch):

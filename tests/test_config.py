@@ -181,8 +181,17 @@ def test_quarter_turn_phi_axis_stops_below_two_pi():
         ("theta_max = 4.0\ntheta_step = 0.5\n", "theta 3.5 outside"),
         ("theta_min = 2.0\ntheta_max = 1.0\n", "empty grid range"),
         ("phi_min = -0.5\n", "phi -0.5 outside"),
+        # Steps below the rounding of the axis: 1 + 1e-17 == 1, so points would repeat.
+        (
+            "theta_min = 1.0\ntheta_max = 1.0\ntheta_step = 1e-17\n",
+            "grid step 1e-17 is below the rounding of its axis values",
+        ),
+        (
+            "theta_min = 1.0\ntheta_max = 1.0000000000000002\ntheta_step = 1e-17\n",
+            "grid step 1e-17 is below the rounding of its axis values",
+        ),
     ],
-    ids=["theta_past_pi", "empty_theta", "negative_phi"],
+    ids=["theta_past_pi", "empty_theta", "negative_phi", "repeated_point", "repeated_points"],
 )
 def test_bad_grid_axis_is_a_config_error_at_parse(axis, message):
     with pytest.raises(ConfigError, match=message):

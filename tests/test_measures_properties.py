@@ -8,17 +8,19 @@ from hypothesis.extra.numpy import arrays
 from echochain.dynamics import FidelitySeries
 from echochain.measures import compute_report
 
+from _oracles import pairwise_rise_max, run_based_rhp
+
 MEASURES = ("blp", "rhp", "nd_max", "nd_avg", "ng_max", "ng_avg")
 FIELDS = MEASURES + ("clamp_events",)
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
 
 @st.composite
-def amplitude_batches(draw) -> FidelitySeries:
-    """(t_cut + 1, m) series from 1 with amplitudes in [0, 1], some columns nonincreasing."""
+def amplitude_batches(draw, low: float = 0.0) -> FidelitySeries:
+    """(t_cut + 1, m) series from 1 with amplitudes in [low, 1], some columns nonincreasing."""
     length = draw(st.integers(2, 25))
     width = draw(st.integers(1, 3))
-    amp = draw(arrays(np.float64, (length, width), elements=st.floats(0.0, 1.0)))
+    amp = draw(arrays(np.float64, (length, width), elements=st.floats(low, 1.0)))
     amp[0] = 1.0
     for j in range(width):
         if draw(st.booleans()):
@@ -55,3 +57,15 @@ def test_measure_invariants(series):
     assert np.array_equal(all_zero, nonincreasing)
     assert np.array_equal(report.rhp, report.ng_max)
     assert np.all(report.nd_avg <= report.nd_max + 1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(amplitude_batches(low=1e-6))
+def test_ng_max_is_the_max_scheme_on_an_independent_G(series):
+    # G(t) is rhp of the prefix up to t, here from maximal rising runs of F, and the max
+    # scheme on it from all pairs of times; no floor is reached above 1e-6.
+    report = compute_report(series)
+    amp = series.amplitude
+    for j in range(amp.shape[1]):
+        g = np.array([run_based_rhp(amp[: t + 1, j]) for t in range(len(amp))])
+        assert abs(report.ng_max[j] - pairwise_rise_max(g)) <= 1e-12

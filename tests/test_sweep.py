@@ -232,6 +232,17 @@ def test_one_sample_keeps_negative_zeros(monkeypatch):
     assert all(np.signbit(astuple(row)[3:]).all() for row in rows)
 
 
+def test_row_invariant_nd_avg_above_nd_max_is_refused(monkeypatch):
+    def crossed(config, context, specs):
+        values = np.zeros((len(CSV_FIELDS) - 3, len(specs)))
+        values[CSV_FIELDS.index("nd_avg") - 3] = 1.0  # above nd_max = 0
+        return values
+
+    monkeypatch.setattr(sweep_module, "_measures_for_batch", crossed)
+    with pytest.raises(RuntimeError, match="^row invariant nd_avg <= nd_max violated$"):
+        run_sweep(_config())
+
+
 def test_progress_counts_point_samples(capsys):
     config = _config(
         coupling=Coupling.VGUE, gue_samples=3, seed=3, t_cut=20,

@@ -279,6 +279,22 @@ def test_orbit_eig_solves_the_block_it_is_handed(coupling, n_qubits, monkeypatch
     assert np.array_equal(eig.vectors, h.conj()[:, np.newaxis] * expected.vectors)
 
 
+@pytest.mark.parametrize("n_qubits", [2, 6])
+@pytest.mark.parametrize("coupling", [Coupling.VJ, Coupling.V0])
+def test_orbit_basis_keeps_each_orbits_smallest_member(coupling, n_qubits, monkeypatch):
+    op = build_floquet_pair(ChainParams(n_qubits, 0.9, 1.3, 0.2, coupling)).plus
+    basis, (block,) = orbit_blocks([op])
+    first = orbit_matrix(basis).argmax(axis=0)  # each orbit's first basis state
+    assert np.array_equal(basis.smallest, first)
+    assert np.array_equal(basis.orbit[basis.smallest], np.arange(len(basis.sizes)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("orbit_eig sorted the orbit labels again")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    symmetry_module.orbit_eig(op, basis, block)
+
+
 def test_orbit_block_of_a_leaking_operator_raises(monkeypatch):
     # V01 perturbs bond 0, which the reflection i <-> -i fixing site 0 (V0's) moves.
     v0 = build_floquet_pair(ChainParams(8, 0.9, 1.3, 0.1, Coupling.V0)).plus

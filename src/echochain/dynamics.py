@@ -115,7 +115,7 @@ class AsymptoticFidelity:
     def __post_init__(self) -> None:
         if not np.all((-1e-12 <= self.mean_F2) & (self.mean_F2 <= self.mean_F + 1e-12)):
             raise ValueError("tail averages must satisfy 0 <= mean_F2 <= mean_F")
-        if np.any(self.mean_F > 1.0 + AMPLITUDE_BOUND_TOL):
+        if not np.all(self.mean_F <= 1.0 + AMPLITUDE_BOUND_TOL):
             raise ValueError("tail average exceeds 1")
 
 

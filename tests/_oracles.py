@@ -121,6 +121,12 @@ def per_qubit_floquet(kick_fields, bonds, state: np.ndarray, dense_factor=None) 
     return v
 
 
+def unitarity_defect(m: np.ndarray) -> float:
+    """max|U^dag U - 1|, from the dense product."""
+    m = np.asarray(m)
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+
+
 def charpoly_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues via Faddeev-LeVerrier coefficients and polynomial roots."""
     n = matrix.shape[0]

@@ -11,10 +11,12 @@ from echochain.chain import (
     assemble_dense,
     build_floquet_pair,
 )
-from echochain.linalg import gue_raw, hermitian_expm, unitarity_defect
+from echochain.linalg import gue_raw, hermitian_expm
 from echochain.symmetry import is_uniform
 
-from _oracles import dense_floquet, dense_kick_factor, ising_phase_matrix, vgue_pair
+from _oracles import (
+    dense_floquet, dense_kick_factor, ising_phase_matrix, unitarity_defect, vgue_pair,
+)
 
 ALL_COUPLINGS = list(Coupling)
 

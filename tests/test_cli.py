@@ -9,7 +9,7 @@ import echochain
 import echochain.chain as chain_module
 import echochain.sweep as sweep_module
 import echochain.symmetry as symmetry_module
-from echochain.chain import ChainParams, Coupling, build_floquet_pair
+from echochain.chain import ChainParams, Coupling, FloquetPair, build_floquet_pair
 from echochain.cli import main
 from echochain.linalg import unitary_eig
 from echochain.symmetry import orbit_blocks
@@ -355,6 +355,24 @@ def test_exhausted_cayley_shifts_give_one_error_line(small_config, tmp_path, cap
     assert main(["sweep", str(small_config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: none of the {len(phases)} Cayley shifts")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_non_unitary_vgue_plus_gives_one_error_line(small_config, tmp_path, capsys, monkeypatch):
+    # VGUE's dense U+ has no orbit block and so no leak check: unitary_eig's residual
+    # guard is the one unitarity check on its way to the IPR eigensystem.
+    build = sweep_module.build_floquet_pair
+
+    def scaled(params, rng=None):
+        pair = build(params, rng)
+        return FloquetPair(pair.plus * (1.0 + 1e-8), pair.minus)
+
+    monkeypatch.setattr(sweep_module, "build_floquet_pair", scaled)
+    small_config.write_text(small_config.read_text().replace("= VJ", "= VGUE"))
+    assert main(["sweep", str(small_config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: matrix is not unitary: eigenpair residual")
     assert err.count("\n") == 1
     assert not (tmp_path / "out.csv").exists()
 

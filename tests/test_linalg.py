@@ -3,17 +3,19 @@ import warnings
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import echochain.linalg as linalg_module
 import echochain.symmetry as symmetry_module
 from echochain import RngStream
 from echochain.linalg import (
     CAYLEY_SHIFTS,
+    UNITARY_TOL,
     gue_raw,
     hermitian_expm,
     hermiticity_defect,
     sample_gue,
-    unitarity_defect,
     unitary_eig,
     unitary_phases,
 )
@@ -30,6 +32,7 @@ from _oracles import (
     schur_eig_ref,
     semicircle_cdf,
     taylor_expm,
+    unitarity_defect,
 )
 from test_symmetry import solved_s_block
 
@@ -174,6 +177,21 @@ def _random_unitary(dim, seed):
     g = np.random.default_rng(seed)
     q, r = np.linalg.qr(g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(2, 64), st.floats(-12.0, -8.0), st.booleans(), st.integers(0, 2**32 - 1))
+def test_unitary_eig_accepts_no_matrix_the_product_check_refuses(dim, log_eps, symmetric, seed):
+    # u = Q + eps E straddles UNITARY_TOL; the symmetric draws take the real route.
+    g = np.random.default_rng(seed)
+    e = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
+    if symmetric:
+        u = _symmetric_unitary(g.uniform(-np.pi, np.pi, dim), seed) + 10.0**log_eps * (e + e.T)
+    else:
+        u = _random_unitary(dim, seed) + 10.0**log_eps * e
+    if not unitarity_defect(u) <= UNITARY_TOL:
+        with pytest.raises(ValueError, match="not unitary"):
+            unitary_eig(u)
 
 
 FIRST_SHIFT = CAYLEY_SHIFTS[0]
@@ -341,7 +359,8 @@ def _one_nan(matrix):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: unitary_eig(_one_nan(np.eye(4))), ValueError, "matrix is not unitary"),
+        # unitary_eig's residual guard never sees a NaN: no Cayley shift keeps |X| finite.
+        (lambda: unitary_eig(_one_nan(np.eye(4))), np.linalg.LinAlgError, "none of"),
         (lambda: hermitian_expm(_one_nan(np.zeros((4, 4)))), ValueError, "not Hermitian"),
         (lambda: linalg_module._cayley(_one_nan(np.eye(4))), np.linalg.LinAlgError, "none of"),
         (

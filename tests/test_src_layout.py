@@ -5,12 +5,14 @@ Every top-level ``def`` and ``class`` in ``src/echochain`` must be used in
 or be exported by ``echochain/__init__.py``. A reference that only the tests
 need belongs in ``tests/_oracles.py``.
 
-No ``if`` in the package tests ``x > TOL`` against a float tolerance, which a NaN
-passes.
+No ``if`` in the package tests ``x > TOL`` or ``x >= TOL`` against a float tolerance,
+bare or inside ``np.any``/``np.all``, which a NaN passes.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import echochain
 
@@ -55,6 +57,33 @@ def _is_tolerance(node):
     )
 
 
+def _nan_blind(test):
+    """`x > tol` or `x >= tol`, bare or as the argument of np.any/np.all: false for a NaN x."""
+    if isinstance(test, ast.Call) and getattr(test.func, "attr", None) in ("any", "all"):
+        test = test.args[0]
+    return (
+        isinstance(test, ast.Compare)
+        and isinstance(test.ops[0], (ast.Gt, ast.GtE))
+        and _is_tolerance(test.comparators[0])
+    )
+
+
+@pytest.mark.parametrize(
+    "source, blind",
+    [
+        ("if x > X_TOL: pass", True),
+        ("if x >= X_TOL: pass", True),
+        ("if np.any(x > 1.0 + X_TOL): pass", True),
+        ("if np.all(x >= X_TOL): pass", True),
+        ("if not x <= X_TOL: pass", False),
+        ("if not np.all(x <= 1.0 + X_TOL): pass", False),
+        ("if n > DENSE_DIM_CAP: pass", False),
+    ],
+)
+def test_nan_blind_lint_sees_wrapped_and_non_strict_comparisons(source, blind):
+    assert _nan_blind(ast.parse(source).body[0].test) is blind
+
+
 def test_tolerance_guards_refuse_nan():
     # `if x > TOL: raise` lets a NaN through, as every comparison with NaN is false;
     # `if not x <= TOL` refuses it. Integer caps (DENSE_DIM_CAP) never meet a NaN.
@@ -62,9 +91,6 @@ def test_tolerance_guards_refuse_nan():
         f"{module}.py:{node.lineno}"
         for module, tree in sorted(_trees().items())
         for node in ast.walk(tree)
-        if isinstance(node, ast.If)
-        and isinstance(node.test, ast.Compare)
-        and isinstance(node.test.ops[0], ast.Gt)
-        and _is_tolerance(node.test.comparators[0])
+        if isinstance(node, ast.If) and _nan_blind(node.test)
     ]
     assert blind == []

@@ -11,7 +11,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .chain import DENSE_DIM_CAP, FloquetOperator, _ising_angles, apply_floquet
-from .linalg import EigenSystem, norm_deficit, unitary_eig, unitary_phases
+from .linalg import EigenSystem, _unitary_phases, norm_deficit, unitary_eig
 
 SECTOR_UNITARY_TOL = 1e-9
 PROJECTION_DEFICIT_TOL = 1e-10
@@ -412,7 +412,7 @@ def spacing_statistics(op: FloquetOperator) -> SpectralReport:
         raise ValueError(f"dense assembly refused beyond dimension {DENSE_DIM_CAP}")
     bases = [build_sector(n_qubits, k) for k in range(1, (n_qubits + 1) // 2)]
     by_sector = {
-        basis.k: sector_spacings(unitary_phases(block), basis.dim)
+        basis.k: sector_spacings(_unitary_phases(block), basis.dim)
         for basis, block in zip(bases, sector_matrix(op, bases))
     }
     used = [k for k in range(1, n_qubits) if 2 * k != n_qubits]

@@ -12,12 +12,12 @@ from echochain import RngStream
 from echochain.linalg import (
     CAYLEY_SHIFTS,
     UNITARY_TOL,
+    _unitary_phases,
     gue_raw,
     hermitian_expm,
     hermiticity_defect,
     sample_gue,
     unitary_eig,
-    unitary_phases,
 )
 from echochain.chain import ChainParams, Coupling, assemble_dense, build_floquet_pair
 from echochain.symmetry import (
@@ -162,8 +162,8 @@ def test_unitary_eig_against_schur_oracle(name):
     # A symmetric unitary Q e^{i phi} Q^T has real eigenvectors, and only it gets them.
     assert (eig.vectors.dtype == np.float64) == (np.abs(u - u.T).max() < 1e-14)
     assert match_phase_multisets(eig.values, ref_phases, 1e-12) < 1e-12
-    assert match_phase_multisets(unitary_phases(u), ref_phases, 1e-12) < 1e-12
-    assert np.all(np.diff(unitary_phases(u)) >= 0.0)
+    assert match_phase_multisets(_unitary_phases(u), ref_phases, 1e-12) < 1e-12
+    assert np.all(np.diff(_unitary_phases(u)) >= 0.0)
     assert np.abs(eig.vectors.conj().T @ eig.vectors - np.eye(len(u))).max() < 1e-13
     assert eig.residual < 1e-10
     g = np.random.default_rng(3)
@@ -192,6 +192,22 @@ def test_unitary_eig_accepts_no_matrix_the_product_check_refuses(dim, log_eps, s
     if not unitarity_defect(u) <= UNITARY_TOL:
         with pytest.raises(ValueError, match="not unitary"):
             unitary_eig(u)
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["complex", "real-route"])
+def test_unitary_eig_accepts_a_residual_spread_over_every_column(symmetric):
+    # (1 + eps) Q has R = eps V e^{i phi}: |R|_2 = eps, but |R|_F = eps sqrt(n), here 1.6e-9,
+    # spread over every column as eigh's rounding is at large n. Its defect 2 eps is
+    # within UNITARY_TOL, so the guard must decide on |R|_2.
+    dim, eps = 256, 1e-10
+    g = np.random.default_rng(11)
+    q = _symmetric_unitary(g.uniform(-3.0, 3.0, dim), 11) if symmetric else _random_unitary(dim, 11)
+    u = (1.0 + eps) * q
+    assert unitarity_defect(u) <= UNITARY_TOL
+    eig = unitary_eig(u)
+    assert (eig.vectors.dtype == np.float64) == symmetric
+    assert eig.residual > UNITARY_TOL
+    assert np.linalg.norm(u @ eig.vectors - eig.vectors * np.exp(1j * eig.values), 2) < 2 * eps
 
 
 FIRST_SHIFT = CAYLEY_SHIFTS[0]
@@ -225,7 +241,7 @@ def test_unitary_eig_with_phases_on_the_shift(phases, rotated):
     eig = unitary_eig(u)
     assert (eig.vectors.dtype == np.float64) == (rotated != "unitary")
     assert np.abs(eig.values - np.sort(phases)).max() < 1e-12
-    assert np.abs(unitary_phases(u) - np.sort(phases)).max() < 1e-12
+    assert np.abs(_unitary_phases(u) - np.sort(phases)).max() < 1e-12
     assert eig.residual < 1e-10
     assert np.abs(eig.vectors.conj().T @ eig.vectors - np.eye(len(phases))).max() < 1e-13
 
@@ -235,7 +251,7 @@ def test_exactly_singular_shift_moves_on(monkeypatch):
     monkeypatch.setattr("echochain.linalg.CAYLEY_SHIFTS", (0.0, 2.0))
     u = np.diag([1.0, 1j, -1.0])
     assert np.allclose(unitary_eig(u).values, [0.0, np.pi / 2.0, np.pi], rtol=0.0, atol=1e-15)
-    assert np.allclose(unitary_phases(u), [0.0, np.pi / 2.0, np.pi], rtol=0.0, atol=1e-15)
+    assert np.allclose(_unitary_phases(u), [0.0, np.pi / 2.0, np.pi], rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -250,7 +266,7 @@ def test_shift_on_a_phase_of_a_symmetric_unitary_is_refused(seed, monkeypatch):
     with pytest.raises(np.linalg.LinAlgError, match="Cayley shifts"):
         unitary_eig(u)
     with pytest.raises(np.linalg.LinAlgError, match="Cayley shifts"):
-        unitary_phases(u)
+        _unitary_phases(u)
 
 
 def test_unitary_eig_raises_when_every_shift_meets_a_phase():
@@ -259,7 +275,7 @@ def test_unitary_eig_raises_when_every_shift_meets_a_phase():
     with pytest.raises(np.linalg.LinAlgError, match="Cayley shifts"):
         unitary_eig(u)
     with pytest.raises(np.linalg.LinAlgError, match="Cayley shifts"):
-        unitary_phases(u)
+        _unitary_phases(u)
     # One phase fewer leaves the last shift free.
     eig = unitary_eig(np.diag(np.exp(1j * phases[:-1])))
     assert np.abs(eig.values - np.sort(phases[:-1])).max() < 1e-12

@@ -6,7 +6,7 @@ or be exported by ``echochain/__init__.py``. A reference that only the tests
 need belongs in ``tests/_oracles.py``.
 
 No ``if`` in the package tests ``x > TOL`` or ``x >= TOL`` against a float tolerance,
-bare or inside ``np.any``/``np.all``, which a NaN passes.
+bare or inside ``np.any``/``np.all`` or their method forms, which a NaN passes.
 """
 
 import ast
@@ -58,9 +58,9 @@ def _is_tolerance(node):
 
 
 def _nan_blind(test):
-    """`x > tol` or `x >= tol`, bare or as the argument of np.any/np.all: false for a NaN x."""
+    """`x > tol` or `x >= tol`, bare or inside np.any/np.all or .any()/.all(): false for a NaN x."""
     if isinstance(test, ast.Call) and getattr(test.func, "attr", None) in ("any", "all"):
-        test = test.args[0]
+        test = test.args[0] if test.args else test.func.value
     return (
         isinstance(test, ast.Compare)
         and isinstance(test.ops[0], (ast.Gt, ast.GtE))
@@ -75,8 +75,11 @@ def _nan_blind(test):
         ("if x >= X_TOL: pass", True),
         ("if np.any(x > 1.0 + X_TOL): pass", True),
         ("if np.all(x >= X_TOL): pass", True),
+        ("if (x > X_TOL).any(): pass", True),
+        ("if (x >= X_TOL).all(): pass", True),
         ("if not x <= X_TOL: pass", False),
         ("if not np.all(x <= 1.0 + X_TOL): pass", False),
+        ("if not (x <= X_TOL).all(): pass", False),
         ("if n > DENSE_DIM_CAP: pass", False),
     ],
 )

@@ -196,6 +196,22 @@ def apply_floquet(op: FloquetOperator, state: np.ndarray) -> np.ndarray:
     return _apply_kicks(op, v)
 
 
+def basis_images(op: FloquetOperator, indices: np.ndarray) -> np.ndarray:
+    """Columns U|b> for the basis indices b, in closed form: no gate is applied.
+
+    The Ising phases act first, so U|b> = e^{-i theta_b} K|b>, and the kicks K take |b>
+    to the Kronecker product of each chunk's gate column at its bits of b, highest chunk
+    leftmost. The product starts at the phase and takes the chunks in the order
+    ``_apply_kicks`` applies them.
+    """
+    b = np.asarray(indices)
+    v = op._ising_phases[b][np.newaxis]
+    for q, gate in op._kick_gates:
+        column = gate[:, (b >> q) & (len(gate) - 1)]
+        v = (column[:, np.newaxis] * v).reshape(-1, len(b))
+    return v
+
+
 def assemble_dense(op: FloquetOperator) -> np.ndarray:
     """Dense matrix of the propagator; capped at dimension 4096."""
     if op.dim > DENSE_DIM_CAP:

@@ -88,8 +88,10 @@ def _axis_values(lo: float, hi: float, step: float) -> tuple[float, ...]:
     # Endpoint rule: include lo + i*step while it does not exceed hi beyond
     # 1e-9 of a step, so accumulated float error never drops or adds a point.
     # The candidates ascend, so the rule keeps a prefix of them; an empty axis has none,
-    # also where its quotient is -inf (a step far below max - min < 0).
-    values = lo + np.arange(math.floor(max(-2.0, (hi - lo) / step)) + 2) * step
+    # also where its quotient is -inf (a step far below max - min < 0). A candidate past
+    # the largest float is inf, which the endpoint rule or the caller's range check refuses.
+    with np.errstate(over="ignore"):
+        values = lo + np.arange(math.floor(max(-2.0, (hi - lo) / step)) + 2) * step
     values = values[values <= hi + 1e-9 * step]
     if np.any(values[1:] <= values[:-1]):
         raise ValueError(f"grid step {step:.4g} is below the rounding of its axis values")

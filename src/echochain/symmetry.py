@@ -10,7 +10,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .chain import DENSE_DIM_CAP, FloquetOperator, _ising_angles, apply_floquet
+from .chain import DENSE_DIM_CAP, FloquetOperator, _ising_angles, apply_floquet, basis_images
 from .linalg import EigenSystem, _unitary_phases, norm_deficit, unitary_eig
 
 SECTOR_UNITARY_TOL = 1e-9
@@ -20,10 +20,11 @@ DEGENERACY_GAP = 1e-10
 MIN_BRODY_SPACINGS = 50
 HISTOGRAM_BIN_WIDTH = 0.1
 HISTOGRAM_S_MAX = 5.0
-# Bytes of complex images per chunk of the columns that orbit_blocks and sector_matrix apply
-# U to. On one BLAS thread, the five N=12 spectral sector blocks took 87-92 ms at 0.5-2 MiB,
-# 96 ms at 4 MiB and 110 ms in one chunk, with traced peaks of 12-21, 33 and 97 MiB; VJ's
-# N=13 orbit block took 101, 77 and 121 ms at 0.5 MiB, 2 MiB and in one chunk.
+# Bytes of complex images per chunk: of the columns of C that orbit_blocks applies U to, and
+# of the representatives' images that sector_matrix builds. On one BLAS thread, the five N=12
+# spectral sector blocks took 55-87 ms at 0.5-1 MiB, 64-76 ms at 2 MiB, 99-106 ms at 4 MiB and
+# 168-177 ms in one chunk, with traced peaks of 3-5, 8, 14 and 46 MiB; VJ's N=13 orbit block
+# took 101, 77 and 121 ms at 0.5 MiB, 2 MiB and in one chunk.
 CHUNK_BYTES = 2 << 20
 
 
@@ -107,48 +108,36 @@ def _chunked_images(op: FloquetOperator, columns, count: int):
         yield cols, apply_floquet(op, columns(cols))
 
 
-def sector_matrix(
-    op: FloquetOperator, basis: SectorBasis | Sequence[SectorBasis]
-) -> np.ndarray | tuple[np.ndarray, ...]:
-    """Block <k,r'|U|k,r> of a translation-invariant U, or a tuple of one per sector given;
-    each must come out unitary.
+def sector_matrix(op: FloquetOperator, basis: SectorBasis) -> np.ndarray:
+    """Block <k,r'|U|k,r> of a translation-invariant U; it must come out unitary.
 
-    With T U = U T a block is read off the images U|r> of the orbit representatives:
-    <k,r'|U|k,r> = sqrt(p_r' p_r)/N sum_j e^{2pi i k j/N} <T^j r'|U|r>. Each representative
-    is applied once, CHUNK_BYTES of images at a time, and every chunk's rows go straight
-    into the columns its representatives own in each block; nothing is kept between calls.
-    Site-dependent kicks make a block lose column norm. Site-dependent bonds only rephase
-    each U|r> (the Ising phases act first), so the block stays unitary and only the guard
-    refuses them.
+    With T U = U T the block is read off the images U|r> of the sector's own orbit
+    representatives: <k,r'|U|k,r> = sqrt(p_r' p_r)/N sum_j e^{2pi i k j/N} <T^j r'|U|r>.
+    The images come in closed form (``basis_images``), CHUNK_BYTES of them at a time, and
+    each chunk's rows go straight into its representatives' columns; nothing is kept
+    between calls. Site-dependent kicks make the block lose column norm. Site-dependent
+    bonds only rephase each U|r> (the Ising phases act first), so the block stays unitary
+    and only the guard refuses them.
     """
-    bases = [basis] if isinstance(basis, SectorBasis) else list(basis)
-    if any(b.n_qubits != op.n_qubits for b in bases):
+    if basis.n_qubits != op.n_qubits:
         raise ValueError("operator and sector qubit counts differ")
     _require_uniform(op)
-    if max((b.dim for b in bases), default=0) > DENSE_DIM_CAP:
+    if basis.dim > DENSE_DIM_CAP:
         raise ValueError(f"dense assembly refused beyond dimension {DENSE_DIM_CAP}")
     n = op.n_qubits
-    reps = np.array([r for r, _ in _orbits(n)])
-    sectors = []
-    for b in bases:
-        own, periods = np.array(b.orbit_reps, dtype=np.int64).T
-        phases = np.exp(2j * np.pi * b.k * np.arange(n) / n)
-        # Rows [j, r'] = T^j r', and each column's place among all representatives.
-        sectors.append((_translations(n)[own].T, np.searchsorted(reps, own), periods, phases))
-    blocks = tuple(np.empty((b.dim, b.dim), dtype=np.complex128) for b in bases)
-
-    def unit(cols: slice) -> np.ndarray:  # the basis states |r> of the chunk's representatives
-        return np.where(np.arange(op.dim)[:, np.newaxis] == reps[cols], 1.0 + 0j, 0j)
-
-    for cols, images in _chunked_images(op, unit, len(reps)):
-        for (rows, columns, periods, phases), block in zip(sectors, blocks):
-            lo, hi = np.searchsorted(columns, (cols.start, cols.stop))
-            gathered = images[rows[:, :, np.newaxis], columns[lo:hi] - cols.start]
-            weights = np.sqrt(np.outer(periods, periods[lo:hi])) / n
-            block[:, lo:hi] = weights * np.tensordot(phases, gathered, axes=1)
-    for b, block in zip(bases, blocks):
-        _require_no_leak(block, f"sector k={b.k} block")
-    return blocks[0] if isinstance(basis, SectorBasis) else blocks
+    own, periods = np.array(basis.orbit_reps, dtype=np.int64).T
+    rows = _translations(n)[own].T  # [j, r'] = T^j r'
+    phases = np.exp(2j * np.pi * basis.k * np.arange(n) / n)
+    block = np.empty((basis.dim, basis.dim), dtype=np.complex128)
+    width = max(1, CHUNK_BYTES // (16 * op.dim))
+    for start in range(0, basis.dim, width):
+        cols = slice(start, start + width)
+        weights = np.sqrt(np.outer(periods, periods[cols])) / n
+        # Images gathered as [j, r', r] = <T^j r'|U|r> within the one statement, so that
+        # neither outlives its chunk.
+        block[:, cols] = weights * np.tensordot(phases, basis_images(op, own[cols])[rows], axes=1)
+    _require_no_leak(block, f"sector k={basis.k} block")
+    return block
 
 
 def _require_no_leak(block: np.ndarray, name: str) -> None:
@@ -402,7 +391,8 @@ def spacing_statistics(op: FloquetOperator) -> SpectralReport:
     sector k onto N - k and commutes with every translation-invariant U (which
     ``sector_matrix`` insists on), so the two spectra coincide: sectors
     1..(N-1)//2 are diagonalised and their spacings stand in for N - k as well.
-    Every block comes from the same pass, one apply of U to each orbit representative.
+    Sectors are built, solved and dropped one at a time, so one block is held at once;
+    every sector is refused over DENSE_DIM_CAP before the first is built.
     """
     _require_uniform(op)
     n_qubits = op.n_qubits
@@ -411,9 +401,11 @@ def spacing_statistics(op: FloquetOperator) -> SpectralReport:
     if op.dim > n_qubits * DENSE_DIM_CAP:
         raise ValueError(f"dense assembly refused beyond dimension {DENSE_DIM_CAP}")
     bases = [build_sector(n_qubits, k) for k in range(1, (n_qubits + 1) // 2)]
+    if max((basis.dim for basis in bases), default=0) > DENSE_DIM_CAP:
+        raise ValueError(f"dense assembly refused beyond dimension {DENSE_DIM_CAP}")
     by_sector = {
-        basis.k: sector_spacings(_unitary_phases(block), basis.dim)
-        for basis, block in zip(bases, sector_matrix(op, bases))
+        basis.k: sector_spacings(_unitary_phases(sector_matrix(op, basis)), basis.dim)
+        for basis in bases
     }
     used = [k for k in range(1, n_qubits) if 2 * k != n_qubits]
     # At N = 2 no sector is used; brody_fit then refuses the empty sample.

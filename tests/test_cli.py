@@ -150,9 +150,11 @@ def test_spectral_refuses_a_sector_over_the_cap_before_any_apply(
 ):
     # N = 17: 2^17 states over at most 17 translations exceed 17 x 4,096, refused before
     # the (2^17, 17) translation table; its sectors k != 0 would hold 7,710 orbits each.
-    # N = 16 passes that rule, but its sector k = 2 holds 4,110 orbits.
-    applies, tables = [], []
+    # N = 16 passes that rule, but its sector k = 2 holds 4,110 orbits: refused before the
+    # 4,080-orbit sector k = 1 is built.
+    applies, images, tables = [], [], []
     monkeypatch.setattr(symmetry_module, "apply_floquet", lambda *args: applies.append(args))
+    monkeypatch.setattr(symmetry_module, "basis_images", lambda *args: images.append(args))
     permuted = symmetry_module._permuted_states
     monkeypatch.setattr(
         symmetry_module, "_permuted_states", lambda n, perms: tables.append(n) or permuted(n, perms)
@@ -165,7 +167,7 @@ def test_spectral_refuses_a_sector_over_the_cap_before_any_apply(
     )
     assert main(["spectral", str(path)]) == 1
     assert capsys.readouterr().err == "error: dense assembly refused beyond dimension 4096\n"
-    assert applies == []
+    assert applies == [] and images == []
     assert 17 not in tables
     assert not (tmp_path / "hist.txt").exists()
 
@@ -315,6 +317,30 @@ def test_overflowing_phases_give_one_error_line(tmp_path, edits, command, messag
         capture_output=True, text=True, env=CHILD_ENV,
     )
     assert (result.returncode, result.stdout, result.stderr) == (1, "", message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "axis, message",
+    [
+        ("theta_min = 0.0\ntheta_max = 1e308\ntheta_step = 1e308\n",
+         "theta 1e+308 outside [0, pi]"),
+        ("theta_min = 1e308\ntheta_max = 1.7e308\ntheta_step = 1.7e308\n",
+         "theta 1e+308 outside [0, pi]"),
+    ],
+    ids=["product", "sum"],
+)
+def test_overflowing_grid_axis_gives_one_error_line(tmp_path, axis, message):
+    # Grid candidates past the largest float (lo + i * step) are refused by the range
+    # check, in a child process so that any RuntimeWarning would reach its stderr.
+    text = SMALL.replace("theta_min = 1.0\ntheta_max = 1.0\n", axis)
+    path, out = tmp_path / "huge.cfg", tmp_path / "out.csv"
+    path.write_text(text, encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "echochain", "sweep", str(path), "--out", str(out)],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", f"error: {message}\n")
     assert not out.exists()
 
 

@@ -1,7 +1,11 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echochain.chain import Coupling, build_floquet_pair
 from echochain.coherent import CoherentSpec
@@ -190,8 +194,13 @@ def test_quarter_turn_phi_axis_stops_below_two_pi():
             "theta_min = 1.0\ntheta_max = 1.0000000000000002\ntheta_step = 1e-17\n",
             "grid step 1e-17 is below the rounding of its axis values",
         ),
+        # Candidates 0, 1e308 and 2e308 = inf: refused by the range check, with no warning.
+        ("theta_max = 1e308\ntheta_step = 1e308\n", r"^theta 1e\+308 outside \[0, pi\]$"),
     ],
-    ids=["theta_past_pi", "empty_theta", "negative_phi", "repeated_point", "repeated_points"],
+    ids=[
+        "theta_past_pi", "empty_theta", "negative_phi", "repeated_point", "repeated_points",
+        "overflowing_candidates",
+    ],
 )
 def test_bad_grid_axis_is_a_config_error_at_parse(axis, message):
     with pytest.raises(ConfigError, match=message):
@@ -226,3 +235,25 @@ def test_nonpositive_count_or_step_is_a_config_error(line, message):
     with pytest.raises(ConfigError) as refused:
         parse_config_text(MINIMAL + line)
     assert (type(refused.value), str(refused.value)) == (ConfigError, message)
+
+
+# Axis bounds and steps from the smallest to the largest floats, and values near pi and 2 pi.
+axis_floats = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1.0, math.pi, 2.0 * math.pi, 1e300, 1e308, sys.float_info.max]),
+    st.floats(0.0, sys.float_info.max),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.sampled_from(["theta", "phi"]), axis_floats, axis_floats, axis_floats)
+def test_extreme_grid_axes_raise_only_config_errors(axis, lo, hi, step):
+    # With every warning an error, an axis whose candidates overflow is refused by its
+    # range check, not by a numpy RuntimeWarning.
+    text = MINIMAL + f"{axis}_min = {lo!r}\n{axis}_max = {hi!r}\n{axis}_step = {step!r}\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            parse_config_text(text)
+        except ConfigError:
+            pass
+

@@ -9,6 +9,10 @@ The chunked kick layer of ``apply_floquet``, and of VGUE's U+- as built, must
 give what one 2x2 pass per qubit gives, on every chain length up to three full
 chunks and one more qubit, so every remainder of the last chunk occurs.
 
+The closed-form images U|b> of basis states (``basis_images``) must give what
+the gates give on unit vectors, and the sector blocks read off them what the
+same reading of gate-built images gives, on every momentum sector.
+
 The time blocks of the matrix path must give what one product per period
 gives, for series that end on either side of a block boundary.
 
@@ -19,10 +23,13 @@ IPR of U+'s own orbit block.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import echochain.symmetry as symmetry_module
 
 from _oracles import (
     match_phase_multisets, orbit_matrix, per_qubit_floquet, vgue_factors, vgue_pair,
@@ -34,6 +41,7 @@ from echochain.chain import (
     FloquetOperator,
     FloquetPair,
     apply_floquet,
+    basis_images,
     build_floquet_pair,
 )
 from echochain.coherent import CoherentSpec, build_coherent_state
@@ -41,7 +49,9 @@ from echochain.config import RunConfig
 from echochain.dynamics import PERIODS_PER_BLOCK, fidelity_series
 from echochain.linalg import RngStream, unitary_eig
 from echochain.sweep import run_series
-from echochain.symmetry import circular_gaps, ipr, is_uniform, orbit_blocks
+from echochain.symmetry import (
+    build_sector, circular_gaps, ipr, is_uniform, orbit_blocks, sector_matrix,
+)
 from test_symmetry import solved_s_block
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -89,6 +99,45 @@ def test_apply_floquet_matches_per_qubit_kernel(n, fields, bonds, cols, seed):
     states = _random_states(op.dim, cols, seed)
     reference = per_qubit_floquet(op.kick_fields, op.bond_strengths, states)
     assert np.max(np.abs(apply_floquet(op, states) - reference)) <= 1e-13
+
+
+IMAGE_QUBITS = 10
+
+
+def _gate_images(op, indices):
+    """U|b> for the basis indices b, by the gates."""
+    units = np.zeros((op.dim, len(indices)), dtype=np.complex128)
+    units[indices, np.arange(len(indices))] = 1.0
+    return apply_floquet(op, units)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(2, IMAGE_QUBITS),
+    st.lists(st.tuples(field, field), min_size=IMAGE_QUBITS, max_size=IMAGE_QUBITS),
+    st.lists(st.floats(0.0, 2.0), min_size=IMAGE_QUBITS, max_size=IMAGE_QUBITS),
+    st.lists(st.integers(0, (1 << IMAGE_QUBITS) - 1), min_size=1, max_size=8),
+)
+def test_basis_images_match_the_gates_on_unit_vectors(n, fields, bonds, indices):
+    # Site-dependent kicks and bonds, so a chunk's gate column taken at the wrong bits shows.
+    op = FloquetOperator(tuple(fields[:n]), tuple(bonds[:n]))
+    b = np.array(indices) % op.dim
+    assert np.max(np.abs(basis_images(op, b) - _gate_images(op, b))) <= 1e-15
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(2, IMAGE_QUBITS), field, field, epsilon,
+    st.sampled_from([Coupling.VJ, Coupling.VB]),
+)
+def test_sector_blocks_match_gate_built_ones(n, b_perp, b_par, eps, coupling):
+    op = build_floquet_pair(ChainParams(n, b_perp, b_par, eps, coupling)).plus
+    for k in range(n):
+        basis = build_sector(n, k)
+        block = sector_matrix(op, basis)
+        with mock.patch.object(symmetry_module, "basis_images", _gate_images):
+            reference = sector_matrix(op, basis)
+        assert np.max(np.abs(block - reference)) <= 1e-15, k
 
 
 @PROPERTY_SETTINGS

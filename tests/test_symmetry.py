@@ -15,6 +15,7 @@ from echochain.chain import (
     _ising_angles,
     apply_floquet,
     assemble_dense,
+    basis_images,
     build_floquet_pair,
 )
 from echochain.coherent import CoherentSpec, build_coherent_state, enumerate_grid
@@ -342,6 +343,18 @@ def _count_applies(monkeypatch):
     return calls
 
 
+def _count_images(monkeypatch):
+    """List that records the column count of each basis_images call made by the symmetry module."""
+    calls = []
+
+    def counted(op, indices):
+        calls.append(len(indices))
+        return basis_images(op, indices)
+
+    monkeypatch.setattr(symmetry_module, "basis_images", counted)
+    return calls
+
+
 OPERATOR_COUPLINGS = [Coupling.VJ, Coupling.VB, Coupling.V0, Coupling.V01]
 
 
@@ -355,7 +368,7 @@ def _chunks_of(width, n_qubits, monkeypatch):
 def test_chunked_blocks_match_the_dense_oracles(coupling, width, monkeypatch):
     n = 6
     _chunks_of(width, n, monkeypatch)
-    calls = _count_applies(monkeypatch)
+    calls, images = _count_applies(monkeypatch), _count_images(monkeypatch)
     pair = build_floquet_pair(ChainParams(n, 0.9, 1.3, 0.2, coupling))
     members = (pair.plus, pair.minus)
     basis, blocks = orbit_blocks(members)
@@ -363,22 +376,26 @@ def test_chunked_blocks_match_the_dense_oracles(coupling, width, monkeypatch):
     oracles = [dense_floquet(op.kick_fields, op.bond_strengths, n) for op in members]
     for u, block in zip(oracles, blocks):
         assert np.abs(dense.T @ u @ dense - block).max() < 1e-13
-    if is_uniform(members):  # VJ and VB: every momentum sector, from one pass
-        sectors = [build_sector(n, k) for k in range(n)]
-        for sector, block in zip(sectors, sector_matrix(pair.plus, sectors)):
-            assert np.abs(block - sector_block_ref(oracles[0], sector)).max() < 1e-12
     assert max(cols for _, cols in calls) <= width
+    if is_uniform(members):  # VJ and VB: every momentum sector, from its own images
+        for k in range(n):
+            sector = build_sector(n, k)
+            images.clear()
+            block = sector_matrix(pair.plus, sector)
+            assert np.abs(block - sector_block_ref(oracles[0], sector)).max() < 1e-12
+            assert sum(images) == sector.dim and max(images) <= width  # each column once
 
 
-def _break_in_chunk(column, width, breaking, monkeypatch):
-    """Applies ``breaking`` instead of the operator to the chunk that holds ``column`` only."""
-    calls = []
+def _break_in_chunk(name, column, width, breaking, monkeypatch):
+    """Makes the symmetry module's ``name`` (``apply_floquet`` or ``basis_images``) take
+    ``breaking`` instead of the operator for the chunk that holds ``column`` only."""
+    calls, real = [], getattr(symmetry_module, name)
 
-    def apply(op, state):
-        calls.append(state.shape)
-        return apply_floquet(breaking if len(calls) - 1 == column // width else op, state)
+    def broken(op, columns):
+        calls.append(np.shape(columns))
+        return real(breaking if len(calls) - 1 == column // width else op, columns)
 
-    monkeypatch.setattr(symmetry_module, "apply_floquet", apply)
+    monkeypatch.setattr(symmetry_module, name, broken)
     return calls
 
 
@@ -393,7 +410,7 @@ def test_a_leak_in_a_middle_chunk_raises(width, monkeypatch):
     monkeypatch.setattr(symmetry_module, "_site_symmetries", lambda ops: reflection)
     _chunks_of(width, 8, monkeypatch)
     orbit_blocks([v0])
-    calls = _break_in_chunk(6, width, v01, monkeypatch)
+    calls = _break_in_chunk("apply_floquet", 6, width, v01, monkeypatch)
     with pytest.raises(SymmetryViolationError, match="not unitary"):
         orbit_blocks([v0])
     assert 0 < 6 // width < len(calls) - 1
@@ -408,7 +425,7 @@ def test_a_kick_break_in_a_middle_chunk_raises(width, monkeypatch):
     )
     _chunks_of(width, 8, monkeypatch)
     sector_matrix(op, build_sector(8, 0))
-    calls = _break_in_chunk(9, width, v0, monkeypatch)
+    calls = _break_in_chunk("basis_images", 9, width, v0, monkeypatch)
     with pytest.raises(SymmetryViolationError, match="not unitary"):
         sector_matrix(op, build_sector(8, 0))
     assert 0 < 9 // width < len(calls) - 1
@@ -441,7 +458,8 @@ def test_orbit_coordinates_match_the_dense_product(coupling):
 
 def test_block_memory_follows_the_block():
     # VJ at N = 13: one (2^N, orbits) complex array is 8,192 x 380 x 16 B = 50 MB over its
-    # reflection orbits, and 8,192 x 632 x 16 B = 83 MB over its translation orbits.
+    # reflection orbits. spacing_statistics solves sectors k = 1..6 of 630 orbits each, one
+    # block at a time: its peak stays below the 6 x 630^2 x 16 B = 38 MB of all six blocks.
     op = build_floquet_pair(ChainParams(13, 1.0, 1.4, 0.1, Coupling.VJ)).plus
     tracemalloc.start()
     try:
@@ -453,7 +471,7 @@ def test_block_memory_follows_the_block():
     finally:
         tracemalloc.stop()
     assert orbit_peak < 16 * op.dim * len(basis.sizes)
-    assert spectral_peak < 16 * op.dim * len(symmetry_module._orbits(13))
+    assert spectral_peak < 16 * sum(build_sector(13, k).dim ** 2 for k in range(1, 7))
 
 
 @pytest.mark.parametrize("coupling", [Coupling.V0, Coupling.V01, Coupling.VGUE])
@@ -462,26 +480,29 @@ def test_spacing_statistics_refuses_symmetry_breaking_couplings(coupling, monkey
     op = build_floquet_pair(params, RngStream(5, 0)).plus
     # VGUE's member is a dense matrix, which the guard refuses as it is.
     assert isinstance(op, np.ndarray) if coupling is Coupling.VGUE else not is_uniform([op])
-    calls = _count_applies(monkeypatch)
+    calls, images = _count_applies(monkeypatch), _count_images(monkeypatch)
     with pytest.raises(SymmetryViolationError):
         spacing_statistics(op)
-    assert calls == []  # refused before any apply
+    assert calls == [] and images == []  # refused before any apply or image
 
 
 @pytest.mark.parametrize("n_qubits", [9, 10])
 def test_spacing_statistics_applies_the_operator_once(n_qubits, monkeypatch):
     op = build_floquet_pair(ChainParams(n_qubits, 1.0, 1.4, 0.1, Coupling.VJ)).plus
-    calls = _count_applies(monkeypatch)
+    calls, images = _count_applies(monkeypatch), _count_images(monkeypatch)
     spacing_statistics(op)
-    assert calls == [(1 << n_qubits, necklace_count(n_qubits))]  # one column per orbit
+    assert calls == []
+    # One image build per diagonalised sector, one column per representative of it.
+    assert images == [build_sector(n_qubits, k).dim for k in range(1, (n_qubits + 1) // 2)]
 
 
 def test_sector_matrix_is_reproducible_without_a_cache(monkeypatch):
     op = build_floquet_pair(ChainParams(8, 1.0, 1.4, 0.1, Coupling.VB)).plus
     basis = build_sector(8, 3)
-    calls = _count_applies(monkeypatch)
+    calls, images = _count_applies(monkeypatch), _count_images(monkeypatch)
     first, second = sector_matrix(op, basis), sector_matrix(op, basis)
-    assert len(calls) == 2  # one apply per call, nothing kept between them
+    assert calls == []
+    assert images == [basis.dim] * 2  # one image build per call, nothing kept between them
     assert np.array_equal(first, second)
 
 
